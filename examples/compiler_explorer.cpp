@@ -1,13 +1,14 @@
 // Compiler explorer: shows what the source-to-source compiler generates for
 // a chosen filter, border pattern and variant — the CUDA source (with the
-// Listing 3/5 region switch) and the PTX-like IR listing, plus the compiler
-// statistics the analytic model consumes.
+// Listing 3/5 region switch, or the staged Body tile of isp-tiled) and the
+// PTX-like IR listing, plus the compiler statistics the analytic model
+// consumes. An unknown --pattern or --variant exits 1.
 //
 //   ./compiler_explorer [--filter=gaussian] [--pattern=clamp]
 //                       [--variant=isp] [--ptx]
 #include <iostream>
 
-#include "codegen/cuda_printer.hpp"
+#include "codegen/cpp_printer.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "dsl/runtime.hpp"
@@ -20,7 +21,7 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   cli.option("filter", "gaussian|laplace|bilateral|sobel_dx|atrous (default gaussian)");
   cli.option("pattern", "border pattern (default clamp)");
-  cli.option("variant", "naive|isp|isp-warp (default isp)");
+  cli.option("variant", "naive|isp|isp-warp|isp-tiled (default isp)");
   cli.option("ptx", "also print the PTX-like IR listing");
   if (cli.finish()) {
     std::cout << cli.help();
@@ -43,11 +44,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string vname = cli.get_string("variant", "isp");
+  const auto variant = codegen::parse_variant(vname);
+  if (!variant.has_value()) {
+    std::cerr << "unknown --variant '" << vname
+              << "' (naive|isp|isp-warp|isp-tiled)\n";
+    return 1;
+  }
   codegen::CodegenOptions options;
   options.pattern = *pattern;
-  options.variant = vname == "naive"      ? codegen::Variant::kNaive
-                    : vname == "isp-warp" ? codegen::Variant::kIspWarp
-                                          : codegen::Variant::kIsp;
+  options.variant = *variant;
 
   std::cout << "==== generated CUDA source ====\n";
   std::cout << codegen::emit_cuda(spec, options);

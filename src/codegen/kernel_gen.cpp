@@ -32,6 +32,14 @@ std::string_view to_string(Variant v) {
   return "?";
 }
 
+std::optional<Variant> parse_variant(std::string_view name) {
+  for (Variant v : {Variant::kNaive, Variant::kIsp, Variant::kIspWarp,
+                    Variant::kIspTiled}) {
+    if (name == to_string(v)) return v;
+  }
+  return std::nullopt;
+}
+
 namespace {
 
 /// Register handles shared by every section of one kernel.

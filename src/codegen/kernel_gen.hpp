@@ -25,6 +25,9 @@
 // the NVCC CSE effect the paper discusses in Section IV-A1.
 #pragma once
 
+#include <optional>
+#include <string_view>
+
 #include "border/border.hpp"
 #include "codegen/stencil_spec.hpp"
 #include "core/partition.hpp"
@@ -37,6 +40,10 @@ namespace ispb::codegen {
 enum class Variant : u8 { kNaive, kIsp, kIspWarp, kIspTiled };
 
 [[nodiscard]] std::string_view to_string(Variant v);
+
+/// Parses "naive" / "isp" / "isp-warp" / "isp-tiled" (case-sensitive), the
+/// names to_string(Variant) prints.
+[[nodiscard]] std::optional<Variant> parse_variant(std::string_view name);
 
 /// Code-generation options.
 struct CodegenOptions {

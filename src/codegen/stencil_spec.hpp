@@ -4,8 +4,8 @@
 // this representation: leaves are border-handled input reads at fixed window
 // offsets and float constants; interior nodes are f32 arithmetic. The code
 // generator consumes a spec plus a border pattern and a variant to produce
-// IR fat kernels (src/codegen/kernel_gen.hpp) and CUDA-like source text
-// (src/codegen/cuda_printer.hpp).
+// IR fat kernels (src/codegen/kernel_gen.hpp) and CUDA, OpenCL and host C++
+// source text (src/codegen/cpp_printer.hpp: one printer, a dialect table).
 #pragma once
 
 #include <cmath>

@@ -186,7 +186,7 @@ class Kernel {
   ExecutionReport execute(const ExecConfig& cfg = ExecConfig{});
 
   /// Traces kernel() and returns the spec without executing (inspection,
-  /// emit_cuda, benches).
+  /// the C-family printer's emit_cuda/emit_opencl/emit_cpp, benches).
   [[nodiscard]] codegen::StencilSpec trace();
 
  protected:

@@ -1,9 +1,9 @@
 // Tests for the stencil compiler: spec construction, kernel generation
 // (structure of naive / ISP / ISP-warp programs), cost measurement, and the
-// CUDA source printer.
+// C-family source printer (CUDA dialect).
 #include <gtest/gtest.h>
 
-#include "codegen/cuda_printer.hpp"
+#include "codegen/cpp_printer.hpp"
 #include "codegen/kernel_gen.hpp"
 #include "common/error.hpp"
 #include "ir/regalloc.hpp"
@@ -81,6 +81,16 @@ TEST(SpecBuilder, RejectsOutOfRangeOperands) {
 }
 
 // ---- generation structure ----------------------------------------------------
+
+TEST(KernelGen, VariantNamesRoundTrip) {
+  for (Variant v : {Variant::kNaive, Variant::kIsp, Variant::kIspWarp,
+                    Variant::kIspTiled}) {
+    EXPECT_EQ(parse_variant(to_string(v)), v) << to_string(v);
+  }
+  EXPECT_EQ(parse_variant("isp+m"), std::nullopt);  // a planner choice
+  EXPECT_EQ(parse_variant("ISP"), std::nullopt);
+  EXPECT_EQ(parse_variant(""), std::nullopt);
+}
 
 TEST(KernelGen, NaiveHasSingleSection) {
   CodegenOptions opt;
@@ -287,7 +297,21 @@ TEST(CudaPrinter, PatternsRenderTheirChecks) {
   opt.pattern = BorderPattern::kConstant;
   opt.border_constant = 7.0f;
   const std::string cuda = emit_cuda(box3_spec(), opt);
-  EXPECT_NE(cuda.find("= 7f;"), std::string::npos);
+  EXPECT_NE(cuda.find("= 0x1.cp+2f;"), std::string::npos);  // exact hex 7.0f
+}
+
+TEST(CudaPrinter, KernelAndLaunchNamesAreIdentifiers) {
+  CodegenOptions opt;
+  opt.variant = Variant::kIspWarp;
+  const StencilSpec spec = box3_spec();
+  const std::string kernel = spec.name + "_isp_warp";
+  EXPECT_NE(emit_cuda(spec, opt).find(" " + kernel + "(\n"),
+            std::string::npos);
+  EXPECT_NE(emit_cuda_host(spec, opt).find(" " + kernel + "<<<"),
+            std::string::npos);
+  opt.variant = Variant::kIspTiled;
+  EXPECT_NE(emit_cuda(spec, opt).find(spec.name + "_isp_tiled(\n"),
+            std::string::npos);
 }
 
 TEST(CudaPrinter, HostSnippetHasEq2Bounds) {

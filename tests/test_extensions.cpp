@@ -4,7 +4,7 @@
 // support the paper lists as future work.
 #include <gtest/gtest.h>
 
-#include "codegen/opencl_printer.hpp"
+#include "codegen/cpp_printer.hpp"
 #include "dsl/runtime.hpp"
 #include "filters/filters.hpp"
 #include "image/compare.hpp"

@@ -208,16 +208,11 @@ BlockSize parse_block(const std::string& text) {
                    std::stoi(text.substr(x + 1))};
 }
 
-codegen::Variant parse_variant(const std::string& name, bool* use_model) {
-  if (use_model != nullptr) *use_model = false;
-  if (name == "naive") return codegen::Variant::kNaive;
-  if (name == "isp") return codegen::Variant::kIsp;
-  if (name == "isp-warp") return codegen::Variant::kIspWarp;
-  if (name == "isp-tiled") return codegen::Variant::kIspTiled;
-  if (name == "isp+m") {
-    if (use_model != nullptr) *use_model = true;
-    return codegen::Variant::kIsp;
-  }
+/// codegen::parse_variant plus "isp+m": kIsp with the model deciding.
+codegen::Variant parse_variant_arg(const std::string& name, bool* use_model) {
+  if (use_model != nullptr) *use_model = name == "isp+m";
+  if (name == "isp+m") return codegen::Variant::kIsp;
+  if (const auto variant = codegen::parse_variant(name)) return *variant;
   throw IoError("unknown --variant '" + name +
                 "' (naive|isp|isp-warp|isp-tiled|isp+m)");
 }
@@ -263,8 +258,8 @@ filters::AppSimConfig pipeline_config(const Cli& cli,
   cfg.constant = static_cast<f32>(cli.get_double("constant", 0.0));
   cfg.block = parse_block(cli.get_string("block", "32x4"));
   cfg.device = parse_device(cli.get_string("device", "gtx680"));
-  cfg.variant =
-      parse_variant(cli.get_string("variant", default_variant), &cfg.use_model);
+  cfg.variant = parse_variant_arg(cli.get_string("variant", default_variant),
+                                  &cfg.use_model);
   return cfg;
 }
 
@@ -733,7 +728,7 @@ int run_analyze(int argc, char** argv) {
   const BorderPattern pattern =
       parse_pattern_arg(cli.get_string("pattern", "clamp"));
   const codegen::Variant variant =
-      parse_variant(cli.get_string("variant", "isp"), nullptr);
+      parse_variant_arg(cli.get_string("variant", "isp"), nullptr);
 
   analysis::LaunchGeometry geom;
   const i32 size = static_cast<i32>(cli.get_int("size", 512));
@@ -2238,7 +2233,7 @@ int run_chaos(int argc, char** argv) {
   bool chaos_use_model = false;
   codegen::Variant chaos_variant = codegen::Variant::kIsp;
   if (!variant_arg.empty()) {
-    chaos_variant = parse_variant(variant_arg, &chaos_use_model);
+    chaos_variant = parse_variant_arg(variant_arg, &chaos_use_model);
   }
   if (schedules <= 0) throw IoError("--schedules must be positive");
   if (requests <= 0) throw IoError("--requests must be positive");
