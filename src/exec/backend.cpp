@@ -4,6 +4,7 @@
 #include <chrono>
 #include <vector>
 
+#include "common/deadline.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
@@ -95,11 +96,15 @@ f64 run_native_module(const NativeModule& module,
   using Clock = std::chrono::steady_clock;
   const Clock::time_point t0 = Clock::now();
   // Row bands over the host pool: enough bands to load every worker, few
-  // enough that the per-band dispatch cost stays invisible.
+  // enough that the per-band dispatch cost stays invisible. A band is the
+  // cancellation unit: past the request's deadline the remaining bands are
+  // skipped and the run throws after the loop.
   const i64 workers = static_cast<i64>(ThreadPool::global().size());
   const i64 bands = std::max<i64>(1, std::min<i64>(sy, workers * 4));
   const i64 rows_per_band = (sy + bands - 1) / bands;
+  const Deadline deadline = Deadline::current();
   parallel_for(0, bands, [&](i64 band) {
+    if (deadline.expired()) return;
     const i32 y0 = static_cast<i32>(band * rows_per_band);
     const i32 y1 = static_cast<i32>(
         std::min<i64>(sy, (band + 1) * rows_per_band));
@@ -107,6 +112,7 @@ f64 run_native_module(const NativeModule& module,
       fn(in_ptrs.data(), in_pitches.data(), out, pitch_out, sx, sy, y0, y1);
     }
   });
+  deadline.check();
   return std::chrono::duration<f64, std::milli>(Clock::now() - t0).count();
 }
 

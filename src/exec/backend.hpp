@@ -108,8 +108,9 @@ class NativeBackend final : public ExecutionBackend {
 };
 
 /// Executes a loaded module over the image, parallelized over row bands;
-/// returns wall milliseconds. Exposed for benches that time the kernel
-/// without backend/cache plumbing around it.
+/// returns wall milliseconds. Throws DeadlineExceeded, with the remaining
+/// bands skipped, once the calling thread's Deadline passes. Exposed for
+/// benches that time the kernel without backend/cache plumbing around it.
 f64 run_native_module(const NativeModule& module,
                       std::span<const Image<f32>* const> inputs,
                       Image<f32>& output);

@@ -415,10 +415,6 @@ std::vector<std::pair<std::string, obs::SloSnapshot>> FleetServer::device_slo()
   return out;
 }
 
-resilience::HealthState FleetServer::shard_health(std::size_t index) const {
-  return shards_[index]->server->health();
-}
-
 f64 FleetServer::occupancy() const {
   const f64 slots =
       static_cast<f64>(shards_.size()) *

@@ -166,12 +166,6 @@ class FleetServer {
   /// Per-device SLO slices from each shard's sliding window.
   [[nodiscard]] std::vector<std::pair<std::string, obs::SloSnapshot>>
   device_slo() const;
-  /// Shard-internal health (kernel breakers, orphans) for invariants.
-  [[nodiscard]] resilience::HealthState shard_health(std::size_t index) const;
-  [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
-  [[nodiscard]] const sim::DeviceSpec& device(std::size_t index) const {
-    return shards_[index]->device;
-  }
   /// Fraction of fleet slots (queue + workers, all shards) in flight.
   [[nodiscard]] f64 occupancy() const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 
+#include "common/deadline.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
@@ -180,7 +181,11 @@ LaunchStats launch_grid_impl(const DeviceSpec& dev, const ir::Program& prog,
   std::vector<f64> block_cycles(static_cast<std::size_t>(total), 0.0);
   std::vector<WarpResult> block_stats(static_cast<std::size_t>(total));
 
+  // Cancellation point per block: once the request's deadline passes the
+  // remaining blocks are skipped, and the launch throws after the loop.
+  const Deadline deadline = Deadline::current();
   parallel_for(0, total, [&](i64 b) {
+    if (deadline.expired()) return;
     // Per-block span: records into the worker thread's own sink, so the
     // pool loop traces without contention; a no-op when tracing is off.
     obs::ScopedSpan block_span("sim.block", "sim");
@@ -191,6 +196,7 @@ LaunchStats launch_grid_impl(const DeviceSpec& dev, const ir::Program& prog,
     block_cycles[static_cast<std::size_t>(b)] = warp_cycles(dev, r);
     block_stats[static_cast<std::size_t>(b)] = r;
   });
+  deadline.check();
 
   LaunchStats stats;
   for (const WarpResult& r : block_stats) stats.warps += r;
@@ -283,6 +289,8 @@ LaunchStats launch_sampled(const DeviceSpec& dev, const ir::Program& prog,
   std::vector<f64> scaled_cycles;  // one synthetic entry per real block
   scaled_cycles.reserve(static_cast<std::size_t>(grid.total()));
 
+  const Deadline deadline = Deadline::current();  // checked per sampled block
+
   for (const auto& [key, info_ref] : classes) {
     const ClassInfo* info = &info_ref;
     const i64 n = static_cast<i64>(info->members.size());
@@ -291,6 +299,7 @@ LaunchStats launch_sampled(const DeviceSpec& dev, const ir::Program& prog,
     WarpResult class_total;
     f64 class_cycles = 0.0;
     for (i32 s = 0; s < samples; ++s) {
+      deadline.check();
       // Evenly spaced picks: first, spread through the middle, last.
       const i64 pick = samples == 1 ? 0 : (n - 1) * s / (samples - 1);
       const auto [bx, by] = info->members[static_cast<std::size_t>(pick)];

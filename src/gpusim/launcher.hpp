@@ -61,7 +61,9 @@ using BlockClassFn = std::function<u32(i32 bx, i32 by)>;
 
 /// Executes every block of the grid (functional mode). Output buffers hold
 /// the complete kernel result afterwards. Blocks run in parallel on the host
-/// thread pool; they are independent by construction. A non-empty `classify`
+/// thread pool; they are independent by construction. Every launch stops at
+/// the calling thread's Deadline (common/deadline.hpp): the remaining blocks
+/// are skipped and DeadlineExceeded is thrown. A non-empty `classify`
 /// additionally fills LaunchStats::per_region (attribution only; the
 /// aggregate statistics are bit-identical with and without it).
 LaunchStats launch_full(const DeviceSpec& dev, const ir::Program& prog,

@@ -244,13 +244,15 @@ namespace {
 
 enum class SpanClass { kQueue, kCompile, kSim, kRetry, kOther };
 
+/// Compile and execution spans are classified by the category they carry,
+/// so every backend's spans land in the right bucket (interp: sim.launch_*,
+/// dsl.compile_kernel; native: exec.native.run, exec.native.compile); queue
+/// wait and retry backoff are single named spans.
 SpanClass classify_span(const TraceEvent& ev) {
   if (ev.name == "pipeline.server.queue_wait") return SpanClass::kQueue;
-  if (ev.name == "pipeline.cache.compile" || ev.name == "dsl.compile_kernel") {
-    return SpanClass::kCompile;
-  }
-  if (ev.name.rfind("sim.launch", 0) == 0) return SpanClass::kSim;
   if (ev.name == "resilience.retry.backoff") return SpanClass::kRetry;
+  if (ev.cat == "compile") return SpanClass::kCompile;
+  if (ev.cat == "sim") return SpanClass::kSim;
   return SpanClass::kOther;
 }
 

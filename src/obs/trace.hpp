@@ -14,13 +14,13 @@
 // Request scoping: every span carries (request_id, span_id,
 // parent_span_id). A TraceContext names the request a thread is currently
 // working for and the span new child spans should hang off; ScopedSpan
-// maintains it automatically for same-thread nesting, and thread handoffs
-// (server worker -> executor pool task -> watchdog exec thread) carry it
-// explicitly: snapshot TraceContext::current() before the hop, install it
-// with TraceContext::Scope inside. The result is one tree per request in
-// the export, regardless of which threads ran its stages, and
-// request_breakdown() extracts the per-request critical path (queue wait
-// vs compile vs simulated execution vs retry backoff).
+// maintains it automatically for same-thread nesting, and the thread
+// handoff (server worker -> executor pool task) carries it explicitly, as it
+// carries the request's Deadline: snapshot TraceContext::current() before
+// the hop, install it with TraceContext::Scope inside. The result is one
+// tree per request in the export, regardless of which threads ran its
+// stages, and request_breakdown() extracts the per-request critical path
+// (queue wait vs compile vs kernel execution vs retry backoff).
 //
 // The merged events export as Chrome trace-event JSON ("traceEvents" array
 // of complete "X" events) loadable in Perfetto or chrome://tracing; the
@@ -195,8 +195,10 @@ struct SpanSummary {
 
 /// Where one request's wall time went, extracted from its span tree.
 /// Categories are disjoint by construction (each sums only spans that never
-/// nest inside another counted span): queue wait, kernel-cache compiles,
-/// simulated launches, retry backoff. `other_us` is the root-span remainder.
+/// nest inside another counted span): queue wait, compiles (spans of
+/// category "compile"), kernel execution (category "sim": simulated
+/// launches and native runs), retry backoff. `other_us` is the root-span
+/// remainder.
 struct RequestBreakdown {
   u64 request_id = 0;
   bool has_root = false;  ///< a root span (parent 0) was found

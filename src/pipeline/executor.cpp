@@ -5,6 +5,7 @@
 #include <exception>
 #include <mutex>
 
+#include "common/deadline.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "dsl/compile.hpp"
@@ -15,6 +16,22 @@
 namespace ispb::pipeline {
 
 namespace {
+
+/// Call from a catch block. False for errors that say nothing about the
+/// kernel and that no fallback can help: contract violations (bad geometry
+/// fails on every engine) and an expired request deadline. Those pass
+/// through the breakers and fallbacks untouched.
+bool is_kernel_failure() {
+  try {
+    throw;
+  } catch (const ContractError&) {
+    return false;
+  } catch (const DeadlineExceeded&) {
+    return false;
+  } catch (...) {
+    return true;
+  }
+}
 
 /// Compiles (through the cache) and launches one stage with a fixed
 /// variant on the given engine; the building block the primary path, the
@@ -108,10 +125,12 @@ ExecutorResult::Stage run_stage_interp_once(
         stage, config, images, out, variant, exec::Backend::kInterpreted);
     if (breaker != nullptr) breaker->record_success();
     return s;
-  } catch (const ContractError&) {
-    throw;  // geometry/contract violations: the naive kernel cannot help
   } catch (...) {
     if (breaker == nullptr) throw;
+    if (!is_kernel_failure()) {
+      breaker->release();
+      throw;
+    }
     breaker->record_failure();
     // Abandon the specialized path for this request and serve naive; the
     // caller still sees kOk, with the degradation visible in variant_used.
@@ -129,8 +148,8 @@ ExecutorResult::Stage run_stage_interp_once(
 /// breaker): when the native toolchain keeps failing — or the breaker is
 /// already open — the stage is served by the full interpreted path
 /// instead, bit-identically, with the degradation visible in
-/// backend_used/backend_fallback. ContractErrors pass through untouched:
-/// bad geometry fails on every engine.
+/// backend_used/backend_fallback. ContractError and DeadlineExceeded pass
+/// through untouched (is_kernel_failure).
 ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
                                      const ExecutorConfig& config,
                                      const std::vector<Image<f32>>& images,
@@ -157,10 +176,12 @@ ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
         exec::Backend::kNative);
     if (breaker != nullptr) breaker->record_success();
     return s;
-  } catch (const ContractError&) {
-    throw;
   } catch (...) {
     if (breaker == nullptr) throw;
+    if (!is_kernel_failure()) {
+      breaker->release();
+      throw;
+    }
     breaker->record_failure();
     ExecutorResult::Stage s = run_stage_interp_once(stage, config, images, out);
     s.backend_fallback = true;
@@ -169,6 +190,7 @@ ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
 }
 
 /// Runs one stage under the retry policy and publishes resilience metrics.
+/// Every attempt starts with a deadline checkpoint.
 ExecutorResult::Stage run_stage(const KernelGraph::Stage& stage,
                                 const ExecutorConfig& config,
                                 const std::vector<Image<f32>>& images,
@@ -178,7 +200,10 @@ ExecutorResult::Stage run_stage(const KernelGraph::Stage& stage,
   try {
     s = resilience::retry_call(
         config.retry, config.clock,
-        [&] { return run_stage_once(stage, config, images, out, backend); },
+        [&] {
+          Deadline::current().check();
+          return run_stage_once(stage, config, images, out, backend);
+        },
         &outcome);
   } catch (...) {
     if (obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();
@@ -296,13 +321,16 @@ ExecutorResult PipelineExecutor::run(
       }
     };
 
-    // Pool workers are fresh threads with empty trace contexts; carry the
-    // caller's (the request this run belongs to) onto each stage task so
-    // stage spans stay in the request's tree.
+    // Pool workers are fresh threads with empty trace contexts and no
+    // deadline; carry the caller's (the request this run belongs to) onto
+    // each stage task so stage spans stay in the request's tree and stages
+    // stop at the request's deadline.
     const obs::TraceContext trace_ctx = obs::TraceContext::current();
-    submit_stage = [&, trace_ctx](i32 stage_id) {
-      pool.submit([&, trace_ctx, stage_id] {
+    const Deadline deadline = Deadline::current();
+    submit_stage = [&, trace_ctx, deadline](i32 stage_id) {
+      pool.submit([&, trace_ctx, deadline, stage_id] {
         obs::TraceContext::Scope trace_scope(trace_ctx);
+        Deadline::Scope deadline_scope(deadline);
         const auto idx = static_cast<std::size_t>(stage_id);
         ExecutorResult::Stage outcome;
         std::exception_ptr error;

@@ -86,7 +86,8 @@ class PipelineExecutor {
 
   /// Runs every stage of `graph` over `source`, honoring the dependency
   /// structure. Rethrows the first stage failure after in-flight stages
-  /// drain. `backend` overrides ExecutorConfig::backend for this run
+  /// drain; throws DeadlineExceeded once the calling thread's Deadline
+  /// (common/deadline.hpp) passes. `backend` overrides ExecutorConfig::backend for this run
   /// (per-request selection in the server); `variant` pins every stage to
   /// one variant with model selection disabled (fleet brownout serves
   /// kNaive this way).

@@ -1,5 +1,6 @@
 #include "pipeline/server.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -24,7 +25,8 @@ void publish_status(ServeStatus status) {
            {{"status", std::string(to_string(status))}});
 }
 
-/// Runs one request to a ServeResponse (kOk or kError) and aggregates the
+/// Runs one request to a ServeResponse (kOk, kError, or kDeadlineExpired
+/// when the thread's Deadline cut it off) and aggregates the
 /// per-stage resilience outcome: attempts beyond the first into `retries`,
 /// whether any stage was served by the breaker's naive fallback, and the
 /// variant that reached the caller (kNaive if *any* stage degraded to it —
@@ -60,6 +62,9 @@ void execute_request(const PipelineExecutor& executor, const KernelGraph& graph,
     response.variant_used = variant;
     response.backend_used = backend_used;
     response.output = std::move(result.output);
+  } catch (const DeadlineExceeded& e) {
+    response.status = ServeStatus::kDeadlineExpired;
+    response.error = e.what();
   } catch (const std::exception& e) {
     response.status = ServeStatus::kError;
     response.error = e.what();
@@ -103,7 +108,7 @@ PipelineServer::PipelineServer(ServerConfig config)
   for (i32 i = 0; i < config_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
-  watchdog_ = std::thread([this] { watchdog_loop(); });
+  sweeper_ = std::thread([this] { sweeper_loop(); });
 }
 
 PipelineServer::~PipelineServer() { shutdown(); }
@@ -129,15 +134,21 @@ void PipelineServer::enqueue(Item item) {
   ISPB_EXPECTS(item.request.graph != nullptr &&
                item.request.source != nullptr);
   item.submitted_at = Clock::now();
+  if (item.request.deadline_ms > 0.0) {
+    item.deadline.at =
+        item.submitted_at +
+        std::chrono::duration_cast<Clock::duration>(
+            std::chrono::duration<f64, std::milli>(item.request.deadline_ms));
+  }
   if (obs::TraceSession::active()) {
     item.request_id = obs::TraceSession::next_request_id();
     item.root_span_id = obs::TraceSession::next_span_id();
     item.submitted_ns = obs::TraceSession::now_ns();
   }
-  const bool has_deadline = item.has_deadline();
 
   bool was_accepting = true;
   bool rejected = false;
+  bool wake_sweeper = false;
   {
     std::lock_guard lock(mu_);
     ++stats_.submitted;
@@ -147,6 +158,12 @@ void PipelineServer::enqueue(Item item) {
       rejected = true;
     } else {
       ++stats_.accepted;
+      // The sweeper must wake earlier than planned only for an earlier
+      // deadline; later ones are found by the rescan of its planned wake.
+      if (item.deadline.at < sweeper_wake_) {
+        sweeper_wake_ = item.deadline.at;
+        wake_sweeper = true;
+      }
       queue_.push_back(std::move(item));
     }
   }
@@ -162,8 +179,7 @@ void PipelineServer::enqueue(Item item) {
     return;
   }
   work_cv_.notify_one();
-  // The deadline watchdog may need to wake earlier than it planned to.
-  if (has_deadline) watchdog_cv_.notify_one();
+  if (wake_sweeper) sweeper_cv_.notify_one();
 }
 
 void PipelineServer::settle(Item& item, ServeResponse&& response) {
@@ -190,15 +206,11 @@ void PipelineServer::shutdown() {
     paused_ = false;  // a paused server still drains its queue
   }
   work_cv_.notify_all();
-  watchdog_cv_.notify_all();
+  sweeper_cv_.notify_all();
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
-  if (watchdog_.joinable()) watchdog_.join();
-  // Wait out watchdog-detached executions: they hold references to the
-  // executor (a member), so the server must not die under them.
-  std::unique_lock lock(orphan_mu_);
-  orphan_cv_.wait(lock, [this] { return orphans_active_ == 0; });
+  if (sweeper_.joinable()) sweeper_.join();
 }
 
 ServerStats PipelineServer::stats() const {
@@ -213,17 +225,11 @@ obs::SloSnapshot PipelineServer::slo_snapshot() const {
 resilience::HealthState PipelineServer::health() const {
   resilience::HealthState h;
   h.breakers = breakers_.snapshot();
-  {
-    std::lock_guard lock(mu_);
-    h.retries = retries_;
-    h.fallbacks_served = fallbacks_;
-    h.watchdog_expired = stats_.watchdog_expired;
-    h.queue_expired = stats_.deadline_expired - stats_.watchdog_expired;
-  }
-  {
-    std::lock_guard lock(orphan_mu_);
-    h.orphaned_executions = orphans_active_;
-  }
+  std::lock_guard lock(mu_);
+  h.retries = retries_;
+  h.fallbacks_served = fallbacks_;
+  h.watchdog_expired = stats_.watchdog_expired;
+  h.queue_expired = stats_.deadline_expired - stats_.watchdog_expired;
   return h;
 }
 
@@ -246,7 +252,7 @@ void PipelineServer::worker_loop() {
   }
 }
 
-void PipelineServer::watchdog_loop() {
+void PipelineServer::sweeper_loop() {
   // Sweeps the queue for requests whose deadline passed before any worker
   // dequeued them — which a paused or saturated server would otherwise sit
   // on indefinitely — and settles them kDeadlineExpired. Runs even while
@@ -255,27 +261,22 @@ void PipelineServer::watchdog_loop() {
   for (;;) {
     if (draining_) return;
 
-    bool any = false;
-    Clock::time_point next{};
-    for (const Item& it : queue_) {
-      if (!it.has_deadline()) continue;
-      const Clock::time_point d = it.deadline_at();
-      if (!any || d < next) next = d;
-      any = true;
-    }
-    if (!any) {
-      watchdog_cv_.wait(lock);  // woken by submit(deadline) or shutdown
-      continue;
-    }
+    Clock::time_point next = Clock::time_point::max();
+    for (const Item& it : queue_) next = std::min(next, it.deadline.at);
     const Clock::time_point now = Clock::now();
     if (next > now) {
-      watchdog_cv_.wait_until(lock, next);
+      sweeper_wake_ = next;
+      if (next == Clock::time_point::max()) {
+        sweeper_cv_.wait(lock);  // woken by an earlier deadline or shutdown
+      } else {
+        sweeper_cv_.wait_until(lock, next);
+      }
       continue;
     }
 
     std::vector<Item> expired;
     for (auto it = queue_.begin(); it != queue_.end();) {
-      if (it->has_deadline() && it->deadline_at() <= now) {
+      if (it->deadline.at <= now) {
         expired.push_back(std::move(*it));
         it = queue_.erase(it);
       } else {
@@ -319,117 +320,38 @@ void PipelineServer::expire_queued(Item item, Clock::time_point now) {
 void PipelineServer::process(Item item) {
   const Clock::time_point dequeued_at = Clock::now();
   ServeResponse response;
-  bool watchdog_cut = false;
+  bool deadline_cut = false;
   u64 retries = 0;
 
-  // The request's spans (executor, cache fills, launches, retries) hang off
-  // its root span; carried explicitly onto the execution-watchdog thread.
-  const obs::TraceContext trace_ctx{item.request_id, item.root_span_id};
   if (item.request_id != 0) {
     obs::record_span("pipeline.server.queue_wait", "pipeline",
                      item.submitted_ns, obs::TraceSession::now_ns(),
                      item.request_id, item.root_span_id);
   }
 
-  if (item.has_deadline() && dequeued_at >= item.deadline_at()) {
+  if (dequeued_at >= item.deadline.at) {
     response.status = ServeStatus::kDeadlineExpired;
     response.error = "deadline expired after " +
                      std::to_string(ms_between(item.submitted_at, dequeued_at)) +
                      " ms queued";
-  } else if (!item.has_deadline()) {
-    obs::TraceContext::Scope trace_scope(trace_ctx);
+  } else {
+    // The request's spans (executor, cache fills, launches, retries) hang
+    // off its root span, and its deadline bounds every checkpoint below.
+    obs::TraceContext::Scope trace_scope({item.request_id, item.root_span_id});
+    Deadline::Scope deadline_scope(item.deadline);
     execute_request(executor_, *item.request.graph, *item.request.source,
                     item.request.backend, item.request.variant, response,
                     retries);
-  } else {
-    // Execution watchdog: run the request on a dedicated thread and wait
-    // only for the remaining budget. On overrun the stage is detached (it
-    // finishes in the background against the shared_ptr'd graph/source and
-    // its result is discarded) so this worker is freed immediately.
-    struct ExecSlot {
-      std::mutex mu;
-      bool finished = false;
-      bool orphaned = false;
-      std::promise<void> done;
-      ServeResponse response;
-      u64 retries = 0;
-    };
-    auto slot = std::make_shared<ExecSlot>();
-    std::shared_ptr<const KernelGraph> graph = item.request.graph;
-    std::shared_ptr<const Image<f32>> source = item.request.source;
-    std::future<void> done = slot->done.get_future();
-
-    const std::optional<exec::Backend> backend = item.request.backend;
-    const std::optional<codegen::Variant> variant = item.request.variant;
-    std::thread exec_thread([this, slot, graph, source, backend, variant,
-                             trace_ctx] {
-      obs::TraceContext::Scope trace_scope(trace_ctx);
-      ServeResponse resp;
-      u64 exec_retries = 0;
-      execute_request(executor_, *graph, *source, backend, variant, resp,
-                      exec_retries);
-      bool orphaned = false;
-      {
-        std::lock_guard lk(slot->mu);
-        slot->finished = true;
-        orphaned = slot->orphaned;
-        slot->response = std::move(resp);
-        slot->retries = exec_retries;
-      }
-      slot->done.set_value();
-      if (orphaned) {
-        std::lock_guard ol(orphan_mu_);
-        --orphans_active_;
-        orphan_cv_.notify_all();
-      }
-    });
-
-    if (done.wait_until(item.deadline_at()) == std::future_status::ready) {
-      exec_thread.join();
-      response = std::move(slot->response);
-      retries = slot->retries;
-    } else {
-      // Pre-register the orphan before marking the slot so the execution
-      // thread can never decrement a count we have not incremented yet.
-      {
-        std::lock_guard ol(orphan_mu_);
-        ++orphans_active_;
-      }
-      bool orphaned = false;
-      {
-        std::lock_guard lk(slot->mu);
-        if (!slot->finished) {
-          slot->orphaned = true;
-          orphaned = true;
-        }
-      }
-      if (orphaned) {
-        exec_thread.detach();
-        watchdog_cut = true;
-        response.status = ServeStatus::kDeadlineExpired;
-        response.error =
-            "watchdog: execution exceeded the remaining deadline budget";
-      } else {
-        // Finished in the window between wait_until and the orphan check.
-        {
-          std::lock_guard ol(orphan_mu_);
-          --orphans_active_;
-        }
-        done.wait();
-        exec_thread.join();
-        response = std::move(slot->response);
-        retries = slot->retries;
-      }
-    }
+    deadline_cut = response.status == ServeStatus::kDeadlineExpired;
   }
 
   finalize(std::move(item), std::move(response), dequeued_at, Clock::now(),
-           watchdog_cut, retries);
+           deadline_cut, retries);
 }
 
 void PipelineServer::finalize(Item item, ServeResponse response,
                               Clock::time_point dequeued_at,
-                              Clock::time_point finished_at, bool watchdog_cut,
+                              Clock::time_point finished_at, bool deadline_cut,
                               u64 retries) {
   response.queue_ms = ms_between(item.submitted_at, dequeued_at);
   response.exec_ms = ms_between(dequeued_at, finished_at);
@@ -451,7 +373,7 @@ void PipelineServer::finalize(Item item, ServeResponse response,
         break;
       case ServeStatus::kDeadlineExpired:
         ++stats_.deadline_expired;
-        if (watchdog_cut) ++stats_.watchdog_expired;
+        if (deadline_cut) ++stats_.watchdog_expired;
         break;
       case ServeStatus::kError:
         ++stats_.errors;
@@ -473,9 +395,9 @@ void PipelineServer::finalize(Item item, ServeResponse response,
       reg->observe("pipeline.server.latency_ms", response.total_ms);
       reg->observe("pipeline.server.queue_ms", response.queue_ms);
     }
-    if (watchdog_cut) reg->add("resilience.watchdog.expired", 1.0);
+    if (deadline_cut) reg->add("resilience.watchdog.expired", 1.0);
   }
-  if (watchdog_cut && config_.flight_recorder != nullptr) {
+  if (deadline_cut && config_.flight_recorder != nullptr) {
     // Crash-dump breadcrumb: what was cut, how long it had run, and the
     // window state at the moment of the cut.
     obs::Json frame = obs::Json::object();

@@ -6,21 +6,23 @@
 // future carrying kRejected instead of blocking or throwing — and requests
 // may carry a deadline covering the *whole* request, submit to completion:
 //
-//   - a request that expires while queued is settled kDeadlineExpired by a
-//     watchdog thread (timely even while the server is paused, and during
-//     the shutdown drain) or by the dequeuing worker, without executing;
-//   - a request whose execution overruns the remaining budget is settled
-//     kDeadlineExpired by the execution watchdog: the stage is detached to
-//     finish in the background (its result discarded) so the worker is
-//     freed immediately instead of blocking behind a hung stage. Detached
-//     executions are accounted in HealthState and joined at shutdown.
+//   - a request that expires while queued is settled kDeadlineExpired by the
+//     queue sweeper thread (timely even while the server is paused, and
+//     during the shutdown drain) or by the dequeuing worker, without
+//     executing;
+//   - a request that expires while executing is cancelled cooperatively:
+//     the worker runs it inline under a thread-local Deadline
+//     (common/deadline.hpp), the executor stops at its next checkpoint
+//     (a stage attempt, a simulated block, a native row band or an injected
+//     delay) and the request settles kDeadlineExpired. No work outlives its
+//     request, and the server starts no thread per request.
 //
 // Resilience: the server owns a per-kernel resilience::BreakerRegistry that
 // it threads into every worker's executor (see ExecutorConfig::breakers) —
 // a kernel whose specialized ISP path keeps failing is served by the naive
 // variant and restored via half-open probes — plus the executor's
 // RetryPolicy for transient stage failures. health() snapshots breaker
-// states and retry/fallback/watchdog counters; the same counters go to the
+// states and retry/fallback/deadline counters; the same counters go to the
 // installed obs::MetricsRegistry.
 //
 // Workers execute stages inline (executor concurrency 1) by default:
@@ -36,10 +38,10 @@
 //
 // Tracing: when an obs::TraceSession is active, every request gets a
 // request id at submit; the dequeuing worker records the queue-wait span,
-// installs the request's TraceContext around execution (including on the
-// execution-watchdog thread), and finalize() records the request's root
-// span — so the whole request forms one tree in the Chrome/Perfetto export
-// regardless of which threads ran it (see obs::request_breakdown).
+// installs the request's TraceContext around execution, and finalize()
+// records the request's root span — so the whole request forms one tree in
+// the Chrome/Perfetto export regardless of which threads ran it (see
+// obs::request_breakdown).
 #pragma once
 
 #include <chrono>
@@ -53,6 +55,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/deadline.hpp"
 #include "obs/histogram.hpp"
 #include "obs/slo.hpp"
 #include "pipeline/executor.hpp"
@@ -67,7 +70,9 @@ struct ServeRequest {
   std::shared_ptr<const Image<f32>> source;
   /// Whole-request budget in wall milliseconds, measured from submit();
   /// 0 = none. Covers queue wait AND execution: expiry while queued is
-  /// settled without executing, expiry mid-execution detaches the stage.
+  /// settled without executing, expiry mid-execution stops the request at
+  /// its next checkpoint (one simulated block for interp, one row band for
+  /// native, one injected delay).
   f64 deadline_ms = 0.0;
   /// Per-request engine override; nullopt = ExecutorConfig::backend.
   std::optional<exec::Backend> backend;
@@ -114,7 +119,7 @@ struct ServerStats {
   u64 rejected = 0;
   u64 completed = 0;
   u64 deadline_expired = 0;  ///< queued + mid-execution expiries
-  u64 watchdog_expired = 0;  ///< subset cut off mid-execution
+  u64 watchdog_expired = 0;  ///< subset cut off mid-execution by deadline
   u64 errors = 0;
   obs::StreamingHistogram total_latency_ms;
   obs::StreamingHistogram queue_latency_ms;
@@ -135,7 +140,7 @@ struct ServerConfig {
   ExecutorConfig executor = serving_executor_config();
   /// When true the workers start idle; queued requests run only after
   /// resume(). Gives tests deterministic control over overflow and
-  /// deadline paths. (The deadline watchdog still runs while paused.)
+  /// deadline paths. (The queue sweeper still runs while paused.)
   bool start_paused = false;
   /// Server-owned per-kernel circuit breakers, threaded into the workers'
   /// executor unless the caller already supplied executor.breakers.
@@ -147,10 +152,9 @@ struct ServerConfig {
   resilience::Clock* clock = nullptr;
   /// Sliding-window shape for slo_snapshot().
   obs::SloConfig slo;
-  /// Optional crash-dump sink: the execution watchdog notes a
-  /// "watchdog_cut" frame (graph name + latency + an SLO snapshot) every
-  /// time it detaches an overrunning request. Not owned; must outlive the
-  /// server.
+  /// Optional crash-dump sink: a "watchdog_cut" frame (graph name +
+  /// latency + an SLO snapshot) is noted every time a request's deadline
+  /// cuts off its execution. Not owned; must outlive the server.
   obs::FlightRecorder* flight_recorder = nullptr;
 };
 
@@ -169,7 +173,7 @@ class PipelineServer {
 
   /// Callback flavor of submit(). `on_done` is invoked exactly once with
   /// the settled response, from whichever thread settles the request (a
-  /// worker, the queue watchdog, or — on overflow/shutdown — the submitting
+  /// worker, the queue sweeper, or — on overflow/shutdown — the submitting
   /// thread itself, before this call returns). The callback runs with no
   /// server locks held, so it may submit to *another* server (fleet
   /// failover re-dispatch); it must not block.
@@ -180,8 +184,7 @@ class PipelineServer {
   void resume();
 
   /// Stops accepting, drains every queued request (expired ones settle
-  /// kDeadlineExpired, the rest execute), joins the workers, then waits
-  /// for any watchdog-detached executions to finish. Idempotent.
+  /// kDeadlineExpired, the rest execute) and joins the threads. Idempotent.
   void shutdown();
 
   [[nodiscard]] ServerStats stats() const;
@@ -191,7 +194,7 @@ class PipelineServer {
   [[nodiscard]] obs::SloSnapshot slo_snapshot() const;
 
   /// Resilience snapshot: breaker states, retry/fallback counters,
-  /// watchdog expiries, detached executions still running.
+  /// queued and mid-execution deadline expiries.
   [[nodiscard]] resilience::HealthState health() const;
 
  private:
@@ -203,20 +206,13 @@ class PipelineServer {
     /// When set, settle() invokes this instead of the promise.
     std::function<void(ServeResponse&&)> callback;
     Clock::time_point submitted_at;
+    Deadline deadline;  ///< submitted_at + deadline_ms; none when 0
     // Tracing identity, assigned at submit() when a session is active (0
     // otherwise): the request's id, its root span, and the submit time on
     // the trace clock so the root + queue-wait spans start at submission.
     u64 request_id = 0;
     u64 root_span_id = 0;
     u64 submitted_ns = 0;
-    [[nodiscard]] bool has_deadline() const {
-      return request.deadline_ms > 0.0;
-    }
-    [[nodiscard]] Clock::time_point deadline_at() const {
-      return submitted_at +
-             std::chrono::duration_cast<Clock::duration>(
-                 std::chrono::duration<f64, std::milli>(request.deadline_ms));
-    }
   };
 
   /// Shared tail of submit()/submit_async(): counts, enqueues or rejects.
@@ -224,15 +220,15 @@ class PipelineServer {
   /// Delivers the settled response via the item's callback or promise.
   static void settle(Item& item, ServeResponse&& response);
   void worker_loop();
-  void watchdog_loop();
+  void sweeper_loop();
   void process(Item item);
   /// Settles `item` kDeadlineExpired without executing (queued expiry).
   void expire_queued(Item item, Clock::time_point now);
-  /// Accounts + publishes + settles. `watchdog_cut` marks a mid-execution
+  /// Accounts + publishes + settles. `deadline_cut` marks a mid-execution
   /// expiry; `retries` are the stage attempts beyond the first.
   void finalize(Item item, ServeResponse response,
                 Clock::time_point dequeued_at, Clock::time_point finished_at,
-                bool watchdog_cut, u64 retries);
+                bool deadline_cut, u64 retries);
 
   ServerConfig config_;
   resilience::BreakerRegistry breakers_;  ///< before executor_ (aliased)
@@ -240,7 +236,10 @@ class PipelineServer {
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable watchdog_cv_;
+  std::condition_variable sweeper_cv_;
+  /// When the sweeper next wakes on its own (max = only when notified);
+  /// submit() notifies it only for an earlier deadline.
+  Clock::time_point sweeper_wake_ = Clock::time_point::max();
   std::deque<Item> queue_;
   bool paused_ = false;
   bool accepting_ = true;
@@ -250,12 +249,7 @@ class PipelineServer {
   u64 retries_ = 0;    ///< stage attempts beyond the first (health)
   u64 fallbacks_ = 0;  ///< requests with any stage served by fallback
   std::vector<std::thread> workers_;
-  std::thread watchdog_;
-
-  // Watchdog-detached executions still running in the background.
-  mutable std::mutex orphan_mu_;
-  std::condition_variable orphan_cv_;
-  u64 orphans_active_ = 0;
+  std::thread sweeper_;
 };
 
 }  // namespace ispb::pipeline

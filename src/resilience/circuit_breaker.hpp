@@ -67,6 +67,10 @@ class CircuitBreaker {
   /// Report the outcome of a specialized attempt admitted by allow().
   void record_success();
   void record_failure();
+  /// Report that an admitted attempt ended without a verdict on the kernel
+  /// (its request's deadline passed, or a contract error): frees a
+  /// half-open probe slot and changes nothing else.
+  void release();
 
   [[nodiscard]] BreakerSnapshot snapshot() const;
 

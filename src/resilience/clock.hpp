@@ -8,12 +8,19 @@
 // therefore takes a Clock*; production code passes SystemClock::instance()
 // (steady_clock), tests pass a VirtualClock whose time only moves when the
 // test advances it and whose sleep_ms() *is* the advance.
+//
+// A SystemClock sleep never outlasts the calling thread's request Deadline
+// (common/deadline.hpp): it returns early at the deadline, without throwing,
+// and the next deadline checkpoint unwinds the request. VirtualClock sleeps
+// take no wall time and so ignore it, keeping chaos runs deterministic.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
 
+#include "common/deadline.hpp"
 #include "common/types.hpp"
 
 namespace ispb::resilience {
@@ -36,8 +43,13 @@ class SystemClock final : public Clock {
     return static_cast<u64>(
         std::chrono::duration_cast<std::chrono::milliseconds>(since).count());
   }
+  /// Sleeps `ms`, or until the thread's Deadline if that comes first.
   void sleep_ms(u64 ms) override {
-    if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+    if (ms == 0) return;
+    std::this_thread::sleep_until(
+        std::min(std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(ms),
+                 Deadline::current().at));
   }
 
   /// Shared instance — the default wherever a Clock* is nullptr.

@@ -14,7 +14,8 @@
 //   health.probe     fleet half-open device probe, detail = device name
 //
 // A rule can throw (InjectedFault), delay (via the injectable Clock, so a
-// VirtualClock makes delays free and deterministic) or corrupt — the site
+// VirtualClock makes delays free and deterministic; a SystemClock delay
+// ends early at the calling thread's request Deadline) or corrupt — the site
 // asks should_corrupt() and is expected to *detect* the corruption later
 // (the kernel cache poisons an entry and must heal it on the next lookup).
 //

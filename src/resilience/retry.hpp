@@ -11,12 +11,14 @@
 // injectable Clock, so tests with a VirtualClock never touch the wall
 // clock. ContractError and VerifyError are never retried: they are
 // programming errors, not transient conditions, and retrying them only
-// delays the report.
+// delays the report. DeadlineExceeded is never retried either: the request's
+// budget is gone, and a backoff sleep ends early at the deadline.
 #pragma once
 
 #include <algorithm>
 #include <type_traits>
 
+#include "common/deadline.hpp"
 #include "common/error.hpp"
 #include "common/types.hpp"
 #include "obs/trace.hpp"
@@ -49,8 +51,9 @@ struct RetryOutcome {
 /// Runs `fn` up to policy.max_attempts times, sleeping the decorrelated-
 /// jitter backoff on `clock` between attempts. Rethrows the last error when
 /// every attempt failed; never retries ContractError/VerifyError (logic
-/// errors are permanent). `outcome`, when non-null, receives the counters
-/// even on failure (it is written before the rethrow).
+/// errors are permanent) or DeadlineExceeded. `outcome`, when non-null,
+/// receives the counters even on failure (it is written before the
+/// rethrow).
 template <typename Fn>
 auto retry_call(const RetryPolicy& policy, Clock* clock, Fn&& fn,
                 RetryOutcome* outcome = nullptr) -> decltype(fn()) {
@@ -74,6 +77,8 @@ auto retry_call(const RetryPolicy& policy, Clock* clock, Fn&& fn,
     } catch (const ContractError&) {
       throw;
     } catch (const VerifyError&) {
+      throw;
+    } catch (const DeadlineExceeded&) {
       throw;
     } catch (...) {
       if (attempt >= attempts) throw;

@@ -542,7 +542,7 @@ TEST(Trace, RequestBreakdownCategorizesAndDetectsOrphans) {
                                t0 + 100000, req, 0);
   record_span("pipeline.server.queue_wait", "pipeline", t0, t0 + 30000, req,
               root);
-  const u64 compile = record_span("pipeline.cache.compile", "pipeline",
+  const u64 compile = record_span("pipeline.cache.compile", "compile",
                                   t0 + 30000, t0 + 70000, req, root);
   // Nested under a counted compile span: must NOT double count.
   record_span("dsl.compile_kernel", "compile", t0 + 31000, t0 + 69000, req,
@@ -566,6 +566,30 @@ TEST(Trace, RequestBreakdownCategorizesAndDetectsOrphans) {
   const Json doc = chrome_trace_json(events);
   const Json& first = doc.find("traceEvents")->items()[0];
   EXPECT_NE(first.find("args")->find("req"), nullptr);
+}
+
+TEST(Trace, RequestBreakdownCountsNativeCompileAndRun) {
+  // The native backend's spans carry the same categories as the
+  // interpreter's ("compile", "sim") under different names.
+  TraceSession::start();
+  const u64 req = TraceSession::next_request_id();
+  const u64 t0 = TraceSession::now_ns();
+  const u64 root = record_span("pipeline.server.request.root", "pipeline", t0,
+                               t0 + 100000, req, 0);
+  record_span("pipeline.server.queue_wait", "pipeline", t0, t0 + 10000, req,
+              root);
+  const u64 exec = record_span("pipeline.execute", "pipeline", t0 + 10000,
+                               t0 + 100000, req, root);
+  record_span("exec.native.compile", "compile", t0 + 10000, t0 + 60000, req,
+              exec);
+  record_span("exec.native.run", "sim", t0 + 60000, t0 + 95000, req, exec);
+  const std::vector<TraceEvent> events = TraceSession::stop();
+  const RequestBreakdown b = request_breakdown(events, req);
+  EXPECT_EQ(b.unreachable, 0);
+  EXPECT_DOUBLE_EQ(b.queue_us, 10.0);
+  EXPECT_DOUBLE_EQ(b.compile_us, 50.0);
+  EXPECT_DOUBLE_EQ(b.sim_us, 35.0);
+  EXPECT_DOUBLE_EQ(b.other_us, 5.0);
 }
 
 }  // namespace

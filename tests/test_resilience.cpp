@@ -1,15 +1,18 @@
 // Resilience layer: injectable clocks, retry/backoff determinism, circuit
 // breaker state machine, deterministic fault injection, cache corrupt-and-
-// detect healing, the execution watchdog, and the end-to-end breaker
-// fallback (serve naive while ISP fails, restore ISP via half-open probe).
+// detect healing, cooperative deadline cancellation, and the end-to-end
+// breaker fallback (serve naive while ISP fails, restore ISP via half-open
+// probe).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/deadline.hpp"
 #include "filters/filters.hpp"
 #include "image/compare.hpp"
 #include "image/generators.hpp"
@@ -110,6 +113,34 @@ TEST(RetryCall, GivesUpAfterMaxAttempts) {
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(outcome.attempts, 3u);
   EXPECT_FALSE(outcome.succeeded);
+}
+
+TEST(RetryCall, NeverRetriesDeadlineExceeded) {
+  resilience::RetryPolicy policy;
+  policy.max_attempts = 5;
+  resilience::VirtualClock clock;
+  int calls = 0;
+  EXPECT_THROW(resilience::retry_call(policy, &clock,
+                                      [&]() -> int {
+                                        ++calls;
+                                        throw DeadlineExceeded();
+                                      }),
+               DeadlineExceeded);
+  EXPECT_EQ(calls, 1) << "an expired budget must not be retried";
+  EXPECT_EQ(clock.elapsed_ms(), 0u);
+}
+
+TEST(SystemClock, SleepEndsAtTheInstalledDeadline) {
+  using SteadyClock = std::chrono::steady_clock;
+  const SteadyClock::time_point start = SteadyClock::now();
+  {
+    Deadline::Scope scope({start + std::chrono::milliseconds(20)});
+    resilience::SystemClock::instance().sleep_ms(5000);  // must not throw
+  }
+  const auto waited = SteadyClock::now() - start;
+  EXPECT_GE(waited, std::chrono::milliseconds(20));
+  EXPECT_LT(waited, std::chrono::milliseconds(2000));
+  EXPECT_FALSE(Deadline::current().has_value()) << "scope restored";
 }
 
 TEST(RetryCall, NeverRetriesContractErrors) {
@@ -282,6 +313,25 @@ TEST(CircuitBreaker, HalfOpenProbeSuccessCloses) {
   EXPECT_TRUE(breaker.allow());
 }
 
+TEST(CircuitBreaker, ReleaseFreesTheHalfOpenProbeSlot) {
+  // A probe cut off by its request's deadline proves nothing either way:
+  // the breaker stays half-open and admits the next probe.
+  resilience::BreakerConfig config;
+  config.failure_threshold = 1;
+  config.open_cooldown_ms = 50;
+  resilience::VirtualClock clock;
+  resilience::CircuitBreaker breaker("k", config, &clock);
+
+  EXPECT_TRUE(breaker.allow());
+  breaker.record_failure();  // trips
+  clock.advance(60);
+  EXPECT_TRUE(breaker.allow());
+  EXPECT_FALSE(breaker.allow());
+  breaker.release();
+  EXPECT_EQ(breaker.snapshot().state, BreakerState::kHalfOpen);
+  EXPECT_TRUE(breaker.allow()) << "released slot admits a new probe";
+}
+
 TEST(CircuitBreaker, HalfOpenProbeFailureReopens) {
   resilience::BreakerConfig config;
   config.failure_threshold = 1;
@@ -431,9 +481,6 @@ TEST(HealthState, DegradedWhenAnyBreakerNotClosed) {
   h.breakers.push_back({"k", BreakerState::kClosed, 0, 0, 0, 0});
   EXPECT_FALSE(h.degraded());
   h.breakers.push_back({"j", BreakerState::kOpen, 3, 1, 0, 0});
-  EXPECT_TRUE(h.degraded());
-  h.breakers.clear();
-  h.orphaned_executions = 1;
   EXPECT_TRUE(h.degraded());
 }
 
@@ -590,16 +637,18 @@ TEST(ServerResilience, BreakerServesNaiveWhileIspFailsThenRestores) {
 }
 
 TEST(ServerResilience, WatchdogCutsOffOverrunningExecution) {
-  // A delay rule on the wall clock makes the stage overrun its remaining
-  // budget; the watchdog must settle kDeadlineExpired promptly and the
-  // orphaned execution must be fully reaped by shutdown.
+  // A wall-clock delay on sobel's first stage overruns the request's
+  // budget. The delay ends at the deadline, the next checkpoint settles the
+  // request kDeadlineExpired, and the later stages never run — not even
+  // after the response, since nothing keeps executing in the background.
   FaultPlan plan;
-  plan.rules.push_back(
-      {"executor.stage", FaultKind::kDelay, "", 1.0, 0, /*delay_ms=*/300});
+  plan.rules.push_back({"executor.stage", FaultKind::kDelay, "sobel_dx", 1.0,
+                        0, /*delay_ms=*/300});
   resilience::FaultInjector injector(plan);  // SystemClock: real sleep
   resilience::FaultInjector::ScopedInstall install(injector);
 
-  const auto graph = gaussian_graph();
+  const auto graph = std::make_shared<const pipeline::KernelGraph>(
+      pipeline::build_graph(filters::make_sobel_app()));
   const auto src =
       std::make_shared<const Image<f32>>(make_gradient_image({16, 16}));
 
@@ -608,14 +657,69 @@ TEST(ServerResilience, WatchdogCutsOffOverrunningExecution) {
   cfg.executor.sim.sampled = true;
   pipeline::PipelineServer server(cfg);
 
-  auto f = server.submit({graph, src, /*deadline_ms=*/30.0, std::nullopt});
+  auto f = server.submit(
+      {graph, src, /*deadline_ms=*/30.0, std::nullopt, std::nullopt});
   const pipeline::ServeResponse resp = f.get();
   EXPECT_EQ(resp.status, pipeline::ServeStatus::kDeadlineExpired);
   EXPECT_LT(resp.total_ms, 290.0)
-      << "the worker must be freed before the delayed stage finishes";
+      << "the delay must end at the deadline, not run its full length";
   EXPECT_EQ(server.stats().watchdog_expired, 1u);
-  server.shutdown();  // waits out the detached execution
-  EXPECT_EQ(server.health().orphaned_executions, 0u);
+  server.shutdown();
+  const auto counters = injector.counters();
+  const auto stage = std::find_if(
+      counters.begin(), counters.end(),
+      [](const auto& c) { return c.point == "executor.stage"; });
+  ASSERT_NE(stage, counters.end());
+  EXPECT_EQ(stage->evaluated, 1u)
+      << "sobel_dy / sobel_magnitude ran after the request was cut";
+}
+
+TEST(ServerResilience, DeadlineStopsLaunchLoopWithoutRetryOrFallback) {
+  // No faults at all: a deadline shorter than the launch itself must stop
+  // the simulator's block loop, and the expiry must not look like a kernel
+  // failure — no retry, no breaker verdict, no naive fallback.
+  const auto graph = std::make_shared<const pipeline::KernelGraph>(
+      pipeline::build_graph(filters::make_bilateral_app()));
+  const auto src =
+      std::make_shared<const Image<f32>>(make_gradient_image({64, 64}));
+
+  pipeline::KernelCache cache(8);
+  pipeline::ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.executor.cache = &cache;
+  cfg.executor.backend = exec::Backend::kInterpreted;
+  cfg.executor.retry.max_attempts = 3;
+  cfg.breaker.failure_threshold = 1;  // one wrongly recorded failure trips
+  pipeline::PipelineServer server(cfg);
+
+  // Uncancelled run first: warms the cache, so the cut request below spends
+  // its budget in the launch, and gives the exec time to compare against.
+  const pipeline::ServeResponse full =
+      server.submit({graph, src, 0.0, std::nullopt, std::nullopt}).get();
+  ASSERT_EQ(full.status, pipeline::ServeStatus::kOk) << full.error;
+  ASSERT_GT(full.exec_ms, 20.0) << "launch too short to cut reliably";
+
+  const pipeline::ServeResponse cut =
+      server
+          .submit(
+              {graph, src, /*deadline_ms=*/3.0, std::nullopt, std::nullopt})
+          .get();
+  EXPECT_EQ(cut.status, pipeline::ServeStatus::kDeadlineExpired);
+  EXPECT_LT(cut.exec_ms, full.exec_ms / 2)
+      << "the block loop kept running past the deadline";
+
+  const resilience::HealthState health = server.health();
+  EXPECT_EQ(health.retries, 0u);
+  EXPECT_EQ(health.watchdog_expired, 1u);
+  for (const resilience::BreakerSnapshot& b : health.breakers) {
+    EXPECT_EQ(b.state, BreakerState::kClosed) << b.kernel;
+    EXPECT_EQ(b.consecutive_failures, 0u) << b.kernel;
+  }
+  const pipeline::ServeResponse next =
+      server.submit({graph, src, 0.0, std::nullopt, std::nullopt}).get();
+  EXPECT_EQ(next.status, pipeline::ServeStatus::kOk) << next.error;
+  EXPECT_FALSE(next.served_by_fallback);
+  server.shutdown();
 }
 
 TEST(ServerResilience, RetriesRecoverTransientStageFaults) {
