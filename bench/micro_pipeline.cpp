@@ -40,9 +40,11 @@ ServingRun run_serving(const std::shared_ptr<const pipeline::KernelGraph>& graph
     pipeline::PipelineServer server(config);
     std::vector<std::future<pipeline::ServeResponse>> futures;
     futures.reserve(static_cast<std::size_t>(requests));
+    pipeline::ServeRequest request;
+    request.graph = graph;
+    request.source = source;
     for (i32 i = 0; i < requests; ++i) {
-      futures.push_back(
-          server.submit({graph, source, /*deadline_ms=*/0.0, std::nullopt}));
+      futures.push_back(server.submit(request));
     }
     for (auto& f : futures) f.wait();
     server.shutdown();

@@ -65,7 +65,8 @@ ExecutorResult::Stage launch_stage_variant(const KernelGraph::Stage& stage,
   // Device-level fault point: fires for every launch attempt on this
   // simulated device (primary, breaker fallback and retry alike), so a
   // chaos "kill" rule takes the whole device down — naive fallback
-  // included — and the fleet layer has to fail the request over.
+  // included — and the server has to fail the request over to another
+  // device target.
   resilience::fault_point("device.launch", sim_cfg.device.name);
 
   exec::BackendRun run;

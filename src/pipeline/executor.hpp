@@ -89,7 +89,7 @@ class PipelineExecutor {
   /// drain; throws DeadlineExceeded once the calling thread's Deadline
   /// (common/deadline.hpp) passes. `backend` overrides ExecutorConfig::backend for this run
   /// (per-request selection in the server); `variant` pins every stage to
-  /// one variant with model selection disabled (fleet brownout serves
+  /// one variant with model selection disabled (admission brownout serves
   /// kNaive this way).
   [[nodiscard]] ExecutorResult run(
       const KernelGraph& graph, const Image<f32>& source,

@@ -10,8 +10,8 @@
 //   launcher.launch  dsl::launch_on_sim entry, detail = program name
 //   backend.compile  exec::jit_compile entry, detail "<kernel>/<variant>"
 //   device.launch    per-launch device entry, detail = device name
-//   shard.dispatch   fleet shard dispatch, detail = device name
-//   health.probe     fleet half-open device probe, detail = device name
+//   shard.dispatch   attempt on a device target, detail = device name
+//   health.probe     half-open device probe attempt, detail = device name
 //
 // A rule can throw (InjectedFault), delay (via the injectable Clock, so a
 // VirtualClock makes delays free and deterministic; a SystemClock delay
@@ -90,15 +90,15 @@ struct FaultPlan {
   /// evaluation) plus a cache-corruption rule. Same seed, same plan.
   [[nodiscard]] static FaultPlan chaos(u64 seed);
 
-  /// Device-level chaos for the fleet harness. Each afflicted device gets a
-  /// "device.launch" rule shaped by `mode`:
+  /// Device-level chaos for the multi-device harness. Each afflicted device
+  /// gets a "device.launch" rule shaped by `mode`:
   ///   kill   every launch fails, forever (device is down);
   ///   flap   the first 1-3 launches fail, then the device heals;
   ///   stall  launches are delayed (free under a VirtualClock);
   ///   mix    per-device seed-hashed choice of the three;
   /// plus capped low-rate "shard.dispatch" / "health.probe" throw rules so
-  /// the routing and probe paths see faults too. One seed-chosen device is
-  /// always left healthy so the fleet can make progress; with a single
+  /// the placement and probe paths see faults too. One seed-chosen device
+  /// is always left healthy so the server can make progress; with a single
   /// device the plan is empty. Same seed, same plan.
   [[nodiscard]] static FaultPlan device_chaos(
       u64 seed, const std::vector<std::string>& devices,

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <string>
 
+#include "obs/json.hpp"
+
 namespace {
 
 struct CmdResult {
@@ -154,6 +156,23 @@ TEST(IspbRunCli, ServeEmitsJsonReport) {
     EXPECT_NE(r.output.find(field), std::string::npos)
         << field << "\n" << r.output;
   }
+}
+
+TEST(IspbRunCli, ServeWithoutDevicesReportsOneTarget) {
+  // One serve path: without --devices the report has the multi-device
+  // shape with a single target, the --device.
+  const CmdResult r = run_cmd(
+      "serve --device=rtx2080 --requests=4 --concurrency=2 --size=32 "
+      "--sampled --json");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const ispb::obs::Json report = ispb::obs::Json::parse(r.output);
+  const ispb::obs::Json* devices = report.find("devices");
+  ASSERT_TRUE(devices != nullptr && devices->is_array()) << r.output;
+  ASSERT_EQ(devices->size(), 1u) << r.output;
+  EXPECT_EQ(devices->items()[0].find("device")->as_string(), "RTX2080");
+  EXPECT_EQ(devices->items()[0].find("routed")->as_int(), 4);
+  ASSERT_NE(report.find("admission"), nullptr) << r.output;
+  EXPECT_EQ(report.find("admission")->size(), 1u) << r.output;
 }
 
 TEST(IspbRunCli, UnknownFleetDeviceFailsAcrossSubcommands) {

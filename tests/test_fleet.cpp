@@ -1,6 +1,9 @@
-// Fleet layer: admission ladder table, multi-device placement with
-// bit-identity, failover off a killed device, half-open probe recovery
-// after a flap, shed/brownout/reject degradation, and pinned routing.
+// Multi-device serving on the one server: admission ladder table,
+// placement across targets with bit-identity, failover off a killed device
+// (one trace tree per request), half-open probe recovery after a flap and
+// after a deadline-cut probe, shed/brownout/reject degradation, pinned
+// routing, no worker stranded on an idle target, and the fleet name
+// mapping.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,10 +13,10 @@
 #include <vector>
 
 #include "filters/filters.hpp"
-#include "fleet/admission.hpp"
 #include "fleet/fleet_server.hpp"
 #include "image/compare.hpp"
 #include "image/generators.hpp"
+#include "obs/trace.hpp"
 #include "pipeline/kernel_graph.hpp"
 #include "resilience/clock.hpp"
 #include "resilience/fault_injector.hpp"
@@ -31,17 +34,20 @@ std::shared_ptr<const Image<f32>> make_source(i32 side = 32) {
   return std::make_shared<const Image<f32>>(make_gradient_image({side, side}));
 }
 
-fleet::FleetConfig two_device_config() {
-  fleet::FleetConfig cfg;
+/// Two targets, two workers each, with the default admission ladder.
+pipeline::ServerConfig two_device_config() {
+  pipeline::ServerConfig cfg;
   cfg.devices = {sim::make_gtx680(), sim::make_rtx2080()};
-  cfg.shard.workers = 2;
+  cfg.workers = 4;
+  cfg.queue_capacity = 128;
+  cfg.admission = pipeline::AdmissionConfig{};
   return cfg;
 }
 
-fleet::FleetRequest make_request(
+pipeline::ServeRequest make_request(
     const std::shared_ptr<const pipeline::KernelGraph>& graph,
     const std::shared_ptr<const Image<f32>>& source, u32 tier = 0) {
-  fleet::FleetRequest req;
+  pipeline::ServeRequest req;
   req.graph = graph;
   req.source = source;
   req.tier = tier;
@@ -51,18 +57,18 @@ fleet::FleetRequest make_request(
 // ---- admission ladder -------------------------------------------------------
 
 TEST(Admission, ShedThresholdsSpacedBetweenShedStartAndRejectStart) {
-  const fleet::AdmissionController ctl{fleet::AdmissionConfig{}};
+  const pipeline::AdmissionConfig ctl;
   // Defaults: 3 tiers, shed 0.50, brownout 0.75, reject 0.95.
-  EXPECT_TRUE(std::isinf(ctl.shed_threshold(0)));
-  EXPECT_DOUBLE_EQ(ctl.shed_threshold(1), 0.725);
-  EXPECT_DOUBLE_EQ(ctl.shed_threshold(2), 0.50);
+  EXPECT_TRUE(std::isinf(pipeline::shed_threshold(ctl, 0)));
+  EXPECT_DOUBLE_EQ(pipeline::shed_threshold(ctl, 1), 0.725);
+  EXPECT_DOUBLE_EQ(pipeline::shed_threshold(ctl, 2), 0.50);
   // Tiers beyond the configured count clamp to the lowest threshold.
-  EXPECT_DOUBLE_EQ(ctl.shed_threshold(9), 0.50);
+  EXPECT_DOUBLE_EQ(pipeline::shed_threshold(ctl, 9), 0.50);
 }
 
 TEST(Admission, LadderDecisionsByTierAndOccupancy) {
-  using fleet::AdmissionDecision;
-  const fleet::AdmissionController ctl{fleet::AdmissionConfig{}};
+  using pipeline::AdmissionDecision;
+  const pipeline::AdmissionConfig ctl;
   struct Case {
     u32 tier;
     f64 occupancy;
@@ -81,7 +87,7 @@ TEST(Admission, LadderDecisionsByTierAndOccupancy) {
       {2, 0.95, AdmissionDecision::kReject},
   };
   for (const Case& c : cases) {
-    EXPECT_EQ(ctl.decide(c.tier, c.occupancy), c.want)
+    EXPECT_EQ(pipeline::admission_decision(ctl, c.tier, c.occupancy), c.want)
         << "tier " << c.tier << " occupancy " << c.occupancy;
   }
 }
@@ -95,22 +101,22 @@ TEST(FleetServer, ServesBitIdenticalAcrossHeterogeneousDevices) {
   const Image<f32> expect =
       filters::run_app_reference(app, *src, BorderPattern::kClamp);
 
-  fleet::FleetServer server(two_device_config());
+  pipeline::PipelineServer server(two_device_config());
   constexpr int kRequests = 8;
-  std::vector<std::future<fleet::FleetResponse>> futures;
+  std::vector<std::future<pipeline::ServeResponse>> futures;
   for (int i = 0; i < kRequests; ++i) {
     futures.push_back(server.submit(make_request(graph, src)));
   }
   for (auto& f : futures) {
-    fleet::FleetResponse resp = f.get();
-    ASSERT_EQ(resp.status, fleet::FleetStatus::kOk) << resp.error;
-    EXPECT_EQ(compare(resp.serve.output, expect).max_abs, 0.0);
+    pipeline::ServeResponse resp = f.get();
+    ASSERT_EQ(resp.status, pipeline::ServeStatus::kOk) << resp.error;
+    EXPECT_EQ(compare(resp.output, expect).max_abs, 0.0);
     EXPECT_EQ(resp.dispatches, 1u);
     EXPECT_FALSE(resp.device.empty());
   }
   server.shutdown();
 
-  const fleet::FleetStats stats = server.stats();
+  const pipeline::ServerStats stats = server.stats();
   EXPECT_EQ(stats.submitted, static_cast<u64>(kRequests));
   EXPECT_EQ(stats.completed, static_cast<u64>(kRequests));
   EXPECT_EQ(stats.failovers, 0u);
@@ -140,25 +146,25 @@ TEST(FleetServer, FailsOverWhenOneDeviceIsKilled) {
   resilience::FaultInjector injector(plan);
   resilience::FaultInjector::ScopedInstall install(injector);
 
-  fleet::FleetConfig cfg = two_device_config();
+  pipeline::ServerConfig cfg = two_device_config();
   cfg.device_breaker.failure_threshold = 2;
   cfg.device_breaker.open_cooldown_ms = 60'000;  // stays quarantined
-  fleet::FleetServer server(cfg);
+  pipeline::PipelineServer server(cfg);
 
   constexpr int kRequests = 6;
-  std::vector<std::future<fleet::FleetResponse>> futures;
+  std::vector<std::future<pipeline::ServeResponse>> futures;
   for (int i = 0; i < kRequests; ++i) {
     futures.push_back(server.submit(make_request(graph, src)));
   }
   for (auto& f : futures) {
-    fleet::FleetResponse resp = f.get();
-    ASSERT_EQ(resp.status, fleet::FleetStatus::kOk) << resp.error;
+    pipeline::ServeResponse resp = f.get();
+    ASSERT_EQ(resp.status, pipeline::ServeStatus::kOk) << resp.error;
     EXPECT_EQ(resp.device, "GTX680");  // only survivor
-    EXPECT_EQ(compare(resp.serve.output, expect).max_abs, 0.0);
+    EXPECT_EQ(compare(resp.output, expect).max_abs, 0.0);
   }
   server.shutdown();
 
-  const fleet::FleetStats stats = server.stats();
+  const pipeline::ServerStats stats = server.stats();
   EXPECT_EQ(stats.completed, static_cast<u64>(kRequests));
   EXPECT_GE(stats.failovers, 1u);
   const auto health = server.device_health();
@@ -188,28 +194,28 @@ TEST(FleetServer, HalfOpenProbeRestoresFlappedDevice) {
   resilience::FaultInjector::ScopedInstall install(injector);
 
   resilience::VirtualClock vclock;
-  fleet::FleetConfig cfg = two_device_config();
+  pipeline::ServerConfig cfg = two_device_config();
   cfg.clock = &vclock;
   cfg.device_breaker.failure_threshold = 1;
   cfg.device_breaker.open_cooldown_ms = 50;
-  // Disable the shard-internal naive fallback so the injected launch fault
+  // Disable the per-kernel naive fallback so the injected launch fault
   // surfaces as a device error instead of being absorbed per-kernel.
-  cfg.shard.breakers_enabled = false;
-  cfg.shard.executor.retry.max_attempts = 1;
-  fleet::FleetServer server(cfg);
+  cfg.breakers_enabled = false;
+  cfg.executor.retry.max_attempts = 1;
+  pipeline::PipelineServer server(cfg);
 
   // Burn the flap by pinning onto the afflicted device; the failure trips
   // its breaker and the request fails over... except pinned requests have
   // nowhere to go, so they settle kError.
-  fleet::FleetRequest pinned = make_request(graph, src);
+  pipeline::ServeRequest pinned = make_request(graph, src);
   pinned.pin_device = "GTX680";
-  EXPECT_EQ(server.submit(pinned).get().status, fleet::FleetStatus::kError);
+  EXPECT_EQ(server.submit(pinned).get().status, pipeline::ServeStatus::kError);
 
   // Quarantined: a pinned request is refused while the cooldown runs.
   pinned = make_request(graph, src);
   pinned.pin_device = "GTX680";
-  fleet::FleetResponse refused = server.submit(pinned).get();
-  EXPECT_EQ(refused.status, fleet::FleetStatus::kError);
+  pipeline::ServeResponse refused = server.submit(pinned).get();
+  EXPECT_EQ(refused.status, pipeline::ServeStatus::kError);
   EXPECT_NE(refused.error.find("quarantined"), std::string::npos)
       << refused.error;
 
@@ -221,8 +227,8 @@ TEST(FleetServer, HalfOpenProbeRestoresFlappedDevice) {
     vclock.advance(60);
     pinned = make_request(graph, src);
     pinned.pin_device = "GTX680";
-    fleet::FleetResponse resp = server.submit(pinned).get();
-    healed = resp.status == fleet::FleetStatus::kOk;
+    pipeline::ServeResponse resp = server.submit(pinned).get();
+    healed = resp.status == pipeline::ServeStatus::kOk;
   }
   EXPECT_TRUE(healed) << "flapped device never recovered via probes";
   server.shutdown();
@@ -234,7 +240,7 @@ TEST(FleetServer, HalfOpenProbeRestoresFlappedDevice) {
       EXPECT_GE(b.trips, 1u);
     }
   }
-  const fleet::FleetStats stats = server.stats();
+  const pipeline::ServerStats stats = server.stats();
   bool gtx_completed = false;
   for (const auto& d : stats.devices) {
     if (d.device == "GTX680") gtx_completed = d.completed >= 1;
@@ -251,17 +257,17 @@ TEST(FleetServer, ShedsBrownsOutAndRejectsUnderLoad) {
   const Image<f32> expect =
       filters::run_app_reference(app, *src, BorderPattern::kClamp);
 
-  fleet::FleetConfig cfg = two_device_config();
-  cfg.shard.workers = 2;
-  cfg.shard.queue_capacity = 8;
-  cfg.shard.start_paused = true;  // requests pile up deterministically
-  // Fleet capacity = 2 shards * (8 queue + 2 workers) = 20 slots.
-  cfg.admission.shed_start = 0.30;     // tier 2 sheds at 6 in flight
-  cfg.admission.brownout_start = 0.50;  // brownout at 10
-  cfg.admission.reject_start = 0.70;    // reject at 14
-  fleet::FleetServer server(cfg);
+  pipeline::ServerConfig cfg = two_device_config();
+  cfg.workers = 4;
+  cfg.queue_capacity = 16;
+  cfg.start_paused = true;  // requests pile up deterministically
+  // Capacity = 16 queue slots + 4 workers = 20 slots.
+  cfg.admission->shed_start = 0.30;    // tier 2 sheds at 6 in flight
+  cfg.admission->brownout_start = 0.50;  // brownout at 10
+  cfg.admission->reject_start = 0.70;   // reject at 14
+  pipeline::PipelineServer server(cfg);
 
-  std::vector<std::future<fleet::FleetResponse>> admitted;
+  std::vector<std::future<pipeline::ServeResponse>> admitted;
   for (int i = 0; i < 6; ++i) {
     admitted.push_back(server.submit(make_request(graph, src, 0)));
   }
@@ -269,42 +275,42 @@ TEST(FleetServer, ShedsBrownsOutAndRejectsUnderLoad) {
   auto shed2 = server.submit(make_request(graph, src, 2));
   ASSERT_EQ(shed2.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
-  EXPECT_EQ(shed2.get().status, fleet::FleetStatus::kShed);
+  EXPECT_EQ(shed2.get().status, pipeline::ServeStatus::kShed);
 
   for (int i = 0; i < 4; ++i) {
     admitted.push_back(server.submit(make_request(graph, src, 0)));
   }
   // Occupancy 0.50: tier 1's evenly spaced threshold kicks in.
   auto shed1 = server.submit(make_request(graph, src, 1));
-  EXPECT_EQ(shed1.get().status, fleet::FleetStatus::kShed);
+  EXPECT_EQ(shed1.get().status, pipeline::ServeStatus::kShed);
 
   // Tier 0 never sheds — it browns out to kNaive instead.
-  std::vector<std::future<fleet::FleetResponse>> browned;
+  std::vector<std::future<pipeline::ServeResponse>> browned;
   for (int i = 0; i < 4; ++i) {
     browned.push_back(server.submit(make_request(graph, src, 0)));
   }
   // Occupancy 0.70: saturation. Even tier 0 is refused now.
   auto rejected = server.submit(make_request(graph, src, 0));
-  EXPECT_EQ(rejected.get().status, fleet::FleetStatus::kRejected);
+  EXPECT_EQ(rejected.get().status, pipeline::ServeStatus::kRejected);
 
   server.resume();
   for (auto& f : admitted) {
-    fleet::FleetResponse resp = f.get();
-    ASSERT_EQ(resp.status, fleet::FleetStatus::kOk) << resp.error;
+    pipeline::ServeResponse resp = f.get();
+    ASSERT_EQ(resp.status, pipeline::ServeStatus::kOk) << resp.error;
     EXPECT_FALSE(resp.browned_out);
-    EXPECT_EQ(compare(resp.serve.output, expect).max_abs, 0.0);
+    EXPECT_EQ(compare(resp.output, expect).max_abs, 0.0);
   }
   for (auto& f : browned) {
-    fleet::FleetResponse resp = f.get();
-    ASSERT_EQ(resp.status, fleet::FleetStatus::kOk) << resp.error;
+    pipeline::ServeResponse resp = f.get();
+    ASSERT_EQ(resp.status, pipeline::ServeStatus::kOk) << resp.error;
     EXPECT_TRUE(resp.browned_out);
-    EXPECT_EQ(resp.serve.variant_used, codegen::Variant::kNaive);
+    EXPECT_EQ(resp.variant_used, codegen::Variant::kNaive);
     // Brownout degrades the plan, never the pixels.
-    EXPECT_EQ(compare(resp.serve.output, expect).max_abs, 0.0);
+    EXPECT_EQ(compare(resp.output, expect).max_abs, 0.0);
   }
   server.shutdown();
 
-  const fleet::FleetStats stats = server.stats();
+  const pipeline::ServerStats stats = server.stats();
   EXPECT_EQ(stats.shed, 2u);
   EXPECT_GE(stats.rejected, 1u);
   ASSERT_EQ(stats.tiers.size(), 3u);
@@ -320,20 +326,193 @@ TEST(FleetServer, PinnedRequestsLandOnTheNamedDevice) {
   const auto graph = make_graph(filters::make_gaussian_app());
   const auto src = make_source(16);
 
-  fleet::FleetServer server(two_device_config());
-  fleet::FleetRequest pinned = make_request(graph, src);
+  pipeline::PipelineServer server(two_device_config());
+  pipeline::ServeRequest pinned = make_request(graph, src);
   pinned.pin_device = "GTX680";  // the router would prefer the RTX2080
-  fleet::FleetResponse resp = server.submit(pinned).get();
-  ASSERT_EQ(resp.status, fleet::FleetStatus::kOk) << resp.error;
+  pipeline::ServeResponse resp = server.submit(pinned).get();
+  ASSERT_EQ(resp.status, pipeline::ServeStatus::kOk) << resp.error;
   EXPECT_EQ(resp.device, "GTX680");
 
-  fleet::FleetRequest unknown = make_request(graph, src);
+  pipeline::ServeRequest unknown = make_request(graph, src);
   unknown.pin_device = "TPUv9";
-  fleet::FleetResponse bad = server.submit(unknown).get();
-  EXPECT_EQ(bad.status, fleet::FleetStatus::kError);
+  pipeline::ServeResponse bad = server.submit(unknown).get();
+  EXPECT_EQ(bad.status, pipeline::ServeStatus::kError);
   EXPECT_NE(bad.error.find("unknown pinned device"), std::string::npos)
       << bad.error;
   server.shutdown();
+}
+
+// ---- a probe cut by its deadline is not a verdict --------------------------
+
+TEST(FleetServer, DeadlineCutProbeLeavesDeviceHalfOpen) {
+  const auto laplace = make_graph(filters::make_laplace_app());
+  const auto gaussian = make_graph(filters::make_gaussian_app());
+  const auto src = make_source(16);
+
+  // One launch failure trips the GTX680; the one-shot wall-clock stage
+  // delay later outlasts the probe's 5 ms budget.
+  resilience::FaultPlan plan;
+  plan.rules.push_back({"device.launch", resilience::FaultKind::kThrow,
+                        "GTX680", 1.0, /*max_fires=*/1, 0});
+  plan.rules.push_back({"executor.stage", resilience::FaultKind::kDelay,
+                        "gaussian", 1.0, /*max_fires=*/1, /*delay_ms=*/50});
+  resilience::FaultInjector injector(plan);  // SystemClock: real sleep
+  resilience::FaultInjector::ScopedInstall install(injector);
+
+  resilience::VirtualClock vclock;
+  pipeline::ServerConfig cfg = two_device_config();
+  cfg.clock = &vclock;
+  cfg.device_breaker.failure_threshold = 1;
+  cfg.device_breaker.open_cooldown_ms = 50;
+  cfg.breakers_enabled = false;
+  pipeline::PipelineServer server(cfg);
+  const auto gtx_breaker = [&] { return server.device_health()[0]; };
+
+  pipeline::ServeRequest trip = make_request(laplace, src);
+  trip.pin_device = "GTX680";
+  EXPECT_EQ(server.submit(trip).get().status, pipeline::ServeStatus::kError);
+  ASSERT_EQ(gtx_breaker().trips, 1u);
+  vclock.advance(60);
+
+  pipeline::ServeRequest probe = make_request(gaussian, src);
+  probe.pin_device = "GTX680";
+  probe.deadline_ms = 5.0;
+  // A loaded machine may let the budget lapse in the queue, before any
+  // placement; only a dispatched probe tests the breaker.
+  pipeline::ServeResponse cut;
+  for (int i = 0; i < 10 && cut.dispatches == 0; ++i) {
+    cut = server.submit(probe).get();
+  }
+  ASSERT_EQ(cut.dispatches, 1u);
+  EXPECT_EQ(cut.status, pipeline::ServeStatus::kDeadlineExpired);
+  // No verdict: the probe slot is free again and nothing re-tripped.
+  EXPECT_EQ(gtx_breaker().state, resilience::BreakerState::kHalfOpen);
+  EXPECT_EQ(gtx_breaker().trips, 1u);
+
+  probe.deadline_ms = 0.0;
+  const pipeline::ServeResponse healed = server.submit(probe).get();
+  ASSERT_EQ(healed.status, pipeline::ServeStatus::kOk) << healed.error;
+  EXPECT_EQ(healed.device, "GTX680");
+  EXPECT_EQ(gtx_breaker().state, resilience::BreakerState::kClosed);
+  server.shutdown();
+
+  const pipeline::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.devices[0].probes, 2u);
+  EXPECT_EQ(stats.devices[0].quarantines, gtx_breaker().trips);
+}
+
+// ---- one trace tree per request across failover ----------------------------
+
+TEST(FleetServer, FailoverKeepsOneTraceTreePerRequest) {
+  const auto graph = make_graph(filters::make_gaussian_app());
+  const auto src = make_source(16);
+
+  resilience::FaultPlan plan;
+  plan.rules.push_back({"device.launch", resilience::FaultKind::kThrow,
+                        "RTX2080", 1.0, 0, 0});
+  resilience::FaultInjector injector(plan);
+  resilience::FaultInjector::ScopedInstall install(injector);
+
+  obs::TraceSession::start();
+  {
+    pipeline::PipelineServer server(two_device_config());
+    const pipeline::ServeResponse resp =
+        server.submit(make_request(graph, src)).get();
+    ASSERT_EQ(resp.status, pipeline::ServeStatus::kOk) << resp.error;
+    EXPECT_EQ(resp.dispatches, 2u);  // RTX2080 first, then GTX680
+    server.shutdown();
+  }
+  const std::vector<obs::TraceEvent> events = obs::TraceSession::stop();
+
+  const std::vector<u64> ids = obs::request_ids(events);
+  ASSERT_EQ(ids.size(), 1u);
+  const obs::RequestBreakdown b = obs::request_breakdown(events, ids[0]);
+  EXPECT_TRUE(b.has_root);
+  EXPECT_EQ(b.unreachable, 0);
+  int roots = 0;
+  std::vector<std::string> attempts;
+  for (const obs::TraceEvent& ev : events) {
+    if (ev.parent_span_id == 0 && ev.request_id == ids[0]) ++roots;
+    if (ev.name != "pipeline.server.request") continue;
+    for (const auto& [key, value] : ev.args) {
+      if (key == "device") attempts.push_back(value.as_string());
+    }
+  }
+  EXPECT_EQ(roots, 1);
+  EXPECT_EQ(attempts, (std::vector<std::string>{"RTX2080", "GTX680"}));
+}
+
+// ---- no worker stranded on an idle target ----------------------------------
+
+TEST(FleetServer, NoWorkerStrandedOnAnIdleTarget) {
+  const auto app = filters::make_gaussian_app();
+  const auto graph = make_graph(app);
+  const auto src = make_source(16);
+  const Image<f32> expect =
+      filters::run_app_reference(app, *src, BorderPattern::kClamp);
+
+  pipeline::ServerConfig cfg = two_device_config();
+  cfg.workers = 2;  // one per device
+  pipeline::PipelineServer server(cfg);
+  for (const char* device : {"GTX680", "RTX2080"}) {  // warm both caches
+    pipeline::ServeRequest warm = make_request(graph, src);
+    warm.pin_device = device;
+    ASSERT_EQ(server.submit(warm).get().status, pipeline::ServeStatus::kOk);
+  }
+
+  resilience::FaultPlan plan;
+  plan.rules.push_back({"executor.stage", resilience::FaultKind::kDelay, "",
+                        1.0, 0, /*delay_ms=*/150});
+  resilience::FaultInjector injector(plan);  // SystemClock: real sleep
+  resilience::FaultInjector::ScopedInstall install(injector);
+
+  // Both prefer the RTX2080; each runs on its own worker at once.
+  auto first = server.submit(make_request(graph, src));
+  auto second = server.submit(make_request(graph, src));
+  for (auto* f : {&first, &second}) {
+    const pipeline::ServeResponse resp = f->get();
+    ASSERT_EQ(resp.status, pipeline::ServeStatus::kOk) << resp.error;
+    EXPECT_EQ(compare(resp.output, expect).max_abs, 0.0);
+    EXPECT_LT(resp.total_ms, 300.0) << "one request waited for the other";
+  }
+  server.shutdown();
+}
+
+// ---- the fleet names map onto the one server -------------------------------
+
+TEST(FleetServer, FleetConfigMapsOntoOneServer) {
+  const auto app = filters::make_gaussian_app();
+  const auto graph = make_graph(app);
+  const auto src = make_source(16);
+
+  resilience::VirtualClock vclock;
+  fleet::FleetConfig fc;
+  fc.devices = {sim::make_gtx680(), sim::make_rtx2080()};
+  fc.shard.workers = 3;
+  fc.shard.queue_capacity = 5;
+  fc.admission.tiers = 2;
+  fc.clock = &vclock;
+  const pipeline::ServerConfig sc = fleet::server_config(fc);
+  EXPECT_EQ(sc.workers, 6);
+  EXPECT_EQ(sc.queue_capacity, 10u);
+  EXPECT_EQ(sc.devices.size(), 2u);
+  ASSERT_TRUE(sc.admission.has_value());
+  EXPECT_EQ(sc.admission->tiers, 2u);
+  EXPECT_EQ(sc.clock, &vclock);
+
+  fleet::FleetServer server(fc);
+  fleet::FleetRequest req = make_request(graph, src);
+  const fleet::FleetResponse resp = server.submit(req).get();
+  ASSERT_EQ(resp.status, fleet::FleetStatus::kOk) << resp.serve.error;
+  EXPECT_EQ(resp.total_ms, resp.serve.total_ms);
+  const Image<f32> expect =
+      filters::run_app_reference(app, *src, BorderPattern::kClamp);
+  EXPECT_EQ(compare(resp.serve.output, expect).max_abs, 0.0);
+  server.shutdown();
+  const fleet::FleetStats stats = server.stats();
+  EXPECT_EQ(stats.devices.size(), 2u);
+  EXPECT_EQ(stats.tiers.size(), 2u);
+  EXPECT_EQ(stats.completed, 1u);
 }
 
 // ---- device chaos plan shape ------------------------------------------------

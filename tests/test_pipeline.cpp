@@ -280,7 +280,11 @@ TEST(RunAppSimulated, ReusesGlobalKernelCache) {
 pipeline::ServeRequest make_request(
     const std::shared_ptr<const pipeline::KernelGraph>& graph,
     const std::shared_ptr<const Image<f32>>& source, f64 deadline_ms = 0.0) {
-  return {graph, source, deadline_ms, std::nullopt};
+  pipeline::ServeRequest request;
+  request.graph = graph;
+  request.source = source;
+  request.deadline_ms = deadline_ms;
+  return request;
 }
 
 TEST(PipelineServer, ServesCorrectOutput) {
@@ -300,10 +304,18 @@ TEST(PipelineServer, ServesCorrectOutput) {
   ASSERT_EQ(resp.status, pipeline::ServeStatus::kOk) << resp.error;
   EXPECT_EQ(compare(resp.output, expect).max_abs, 0.0);
   EXPECT_GE(resp.total_ms, resp.exec_ms);
+  // Without devices the server is a fleet of one: executor.sim.device,
+  // no device breaker, one tier.
+  EXPECT_EQ(resp.device, "GTX680");
+  EXPECT_EQ(resp.dispatches, 1u);
   server.shutdown();
   const pipeline::ServerStats stats = server.stats();
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.total_latency_ms.count(), 1u);
+  ASSERT_EQ(stats.devices.size(), 1u);
+  EXPECT_EQ(stats.devices[0].routed, 1u);
+  EXPECT_EQ(stats.tiers.size(), 1u);
+  EXPECT_TRUE(server.device_health().empty());
 }
 
 TEST(PipelineServer, RejectsOnOverflowDeterministically) {

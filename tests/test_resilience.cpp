@@ -563,6 +563,16 @@ std::shared_ptr<const pipeline::KernelGraph> gaussian_graph() {
       pipeline::build_graph(filters::make_gaussian_app()));
 }
 
+pipeline::ServeRequest serve_request(
+    const std::shared_ptr<const pipeline::KernelGraph>& graph,
+    const std::shared_ptr<const Image<f32>>& source, f64 deadline_ms = 0.0) {
+  pipeline::ServeRequest request;
+  request.graph = graph;
+  request.source = source;
+  request.deadline_ms = deadline_ms;
+  return request;
+}
+
 TEST(ServerResilience, BreakerServesNaiveWhileIspFailsThenRestores) {
   // The acceptance scenario: compile.lower forced to fail ISP-only. The
   // server must keep answering kOk — first via per-request fallback, then
@@ -594,7 +604,7 @@ TEST(ServerResilience, BreakerServesNaiveWhileIspFailsThenRestores) {
   pipeline::PipelineServer server(cfg);
 
   auto serve_one = [&] {
-    auto f = server.submit({graph, src, 0.0, std::nullopt});
+    auto f = server.submit(serve_request(graph, src));
     pipeline::ServeResponse resp = f.get();
     EXPECT_EQ(resp.status, pipeline::ServeStatus::kOk) << resp.error;
     EXPECT_EQ(compare(resp.output, expect).max_abs, 0.0)
@@ -658,7 +668,7 @@ TEST(ServerResilience, WatchdogCutsOffOverrunningExecution) {
   pipeline::PipelineServer server(cfg);
 
   auto f = server.submit(
-      {graph, src, /*deadline_ms=*/30.0, std::nullopt, std::nullopt});
+      serve_request(graph, src, /*deadline_ms=*/30.0));
   const pipeline::ServeResponse resp = f.get();
   EXPECT_EQ(resp.status, pipeline::ServeStatus::kDeadlineExpired);
   EXPECT_LT(resp.total_ms, 290.0)
@@ -695,14 +705,14 @@ TEST(ServerResilience, DeadlineStopsLaunchLoopWithoutRetryOrFallback) {
   // Uncancelled run first: warms the cache, so the cut request below spends
   // its budget in the launch, and gives the exec time to compare against.
   const pipeline::ServeResponse full =
-      server.submit({graph, src, 0.0, std::nullopt, std::nullopt}).get();
+      server.submit(serve_request(graph, src)).get();
   ASSERT_EQ(full.status, pipeline::ServeStatus::kOk) << full.error;
   ASSERT_GT(full.exec_ms, 20.0) << "launch too short to cut reliably";
 
   const pipeline::ServeResponse cut =
       server
           .submit(
-              {graph, src, /*deadline_ms=*/3.0, std::nullopt, std::nullopt})
+              serve_request(graph, src, /*deadline_ms=*/3.0))
           .get();
   EXPECT_EQ(cut.status, pipeline::ServeStatus::kDeadlineExpired);
   EXPECT_LT(cut.exec_ms, full.exec_ms / 2)
@@ -716,7 +726,7 @@ TEST(ServerResilience, DeadlineStopsLaunchLoopWithoutRetryOrFallback) {
     EXPECT_EQ(b.consecutive_failures, 0u) << b.kernel;
   }
   const pipeline::ServeResponse next =
-      server.submit({graph, src, 0.0, std::nullopt, std::nullopt}).get();
+      server.submit(serve_request(graph, src)).get();
   EXPECT_EQ(next.status, pipeline::ServeStatus::kOk) << next.error;
   EXPECT_FALSE(next.served_by_fallback);
   server.shutdown();
@@ -743,7 +753,7 @@ TEST(ServerResilience, RetriesRecoverTransientStageFaults) {
   cfg.clock = &clock;
   pipeline::PipelineServer server(cfg);
 
-  auto f = server.submit({graph, src, 0.0, std::nullopt});
+  auto f = server.submit(serve_request(graph, src));
   const pipeline::ServeResponse resp = f.get();
   EXPECT_EQ(resp.status, pipeline::ServeStatus::kOk) << resp.error;
   EXPECT_FALSE(resp.served_by_fallback);

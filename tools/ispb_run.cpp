@@ -51,12 +51,12 @@
 //
 //              serving defaults to the native (JIT shared-object) execution
 //              backend; profile/analyze always use the interpreted engine
-//              (modeled counters). With --devices the requests go through
-//              the fleet router (one shard per device, tiered admission,
-//              health-checked failover) instead of a single server.
+//              (modeled counters). --devices gives the server one execution
+//              target per device, with placement, tiered admission and
+//              health-checked failover; without it, one target (--device).
 //
 //   loadtest   open-loop Poisson load generator against the multi-device
-//              fleet router: calibrate the fleet's closed-loop capacity,
+//              server: calibrate its closed-loop capacity,
 //              then drive it at three load tiers (below / near / above
 //              saturation) across an apps x patterns matrix with requests
 //              spread over --shed-tiers priority tiers, measure sustained
@@ -83,10 +83,10 @@
 //     ispb_run chaos [--schedules=64] [--seed=1] [--requests=2] [--size=64]
 //              [--deadline-ms=0] [--force-fail=POINT] [--json]
 //
-//              With --devices the harness switches to fleet chaos: seeded
+//              With --devices the harness switches to device chaos: seeded
 //              device-level fault schedules (--device-fault=kill|flap|
 //              stall|mix) kill, flap or stall whole devices mid-load while
-//              the fleet router sheds, fails over and probes them back,
+//              the server sheds, fails over and probes them back,
 //              asserting the same invariants plus post-fault re-convergence:
 //
 //     ispb_run chaos --devices=gtx680,rtx2080 [--device-fault=mix]
@@ -120,7 +120,6 @@
 #include "ir/analysis/divergence.hpp"
 #include "ir/analysis/static_cost.hpp"
 #include "common/rng.hpp"
-#include "fleet/fleet_server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
@@ -158,7 +157,7 @@ sim::DeviceSpec parse_device(const std::string& name) {
 
 /// Strict --devices list: comma-separated device names -> specs, exit 1
 /// naming the first unknown entry. Order is preserved (it becomes the
-/// fleet's shard order).
+/// server's target order).
 std::vector<sim::DeviceSpec> parse_devices(const std::string& spec) {
   std::vector<sim::DeviceSpec> devices;
   std::string text = spec;
@@ -182,7 +181,7 @@ std::vector<sim::DeviceSpec> parse_devices(const std::string& spec) {
   return devices;
 }
 
-/// Strict --shed-tiers: priority tier count for the fleet's admission
+/// Strict --shed-tiers: priority tier count for the server's admission
 /// ladder; tier 0 never sheds, so 1 disables shedding entirely.
 u32 parse_shed_tiers(const Cli& cli) {
   const i64 tiers = cli.get_int("shed-tiers", 3);
@@ -976,143 +975,23 @@ int run_profile(int argc, char** argv) {
   return 0;
 }
 
-/// `serve --devices=...`: the same request volley, but placed by the fleet
-/// router — one shard per device, priority tiers round-robined across the
-/// requests, shedding/brownout/rejection reported per admission tier and
-/// placement per device.
-int serve_fleet(const Cli& cli, const filters::MultiKernelApp& app,
-                const filters::AppSimConfig& cfg, exec::Backend backend,
-                const std::shared_ptr<const pipeline::KernelGraph>& graph,
-                const std::shared_ptr<const Image<f32>>& source, i32 size,
-                i32 requests, i32 concurrency, std::size_t queue_capacity,
-                f64 deadline_ms, std::vector<sim::DeviceSpec> devices,
-                u32 shed_tiers) {
-  pipeline::KernelCache cache;
-  fleet::FleetConfig fleet_cfg;
-  fleet_cfg.devices = std::move(devices);
-  fleet_cfg.shard.workers = concurrency;
-  fleet_cfg.shard.queue_capacity = queue_capacity;
-  fleet_cfg.shard.executor.sim = cfg;
-  fleet_cfg.shard.executor.concurrency = 1;
-  fleet_cfg.shard.executor.cache = &cache;
-  fleet_cfg.shard.executor.backend = backend;
-  fleet_cfg.admission.tiers = shed_tiers;
-
-  using Clock = std::chrono::steady_clock;
-  fleet::FleetStats stats;
-  const Clock::time_point t0 = Clock::now();
-  {
-    fleet::FleetServer server(fleet_cfg);
-    std::vector<std::future<fleet::FleetResponse>> futures;
-    futures.reserve(static_cast<std::size_t>(requests));
-    for (i32 i = 0; i < requests; ++i) {
-      fleet::FleetRequest req;
-      req.graph = graph;
-      req.source = source;
-      req.deadline_ms = deadline_ms;
-      req.backend = backend;
-      req.tier = static_cast<u32>(i) % shed_tiers;
-      futures.push_back(server.submit(std::move(req)));
-    }
-    for (auto& f : futures) (void)f.get();
-    server.shutdown();
-    stats = server.stats();
-  }
-  const f64 wall_ms =
-      std::chrono::duration<f64, std::milli>(Clock::now() - t0).count();
-  const f64 throughput_rps =
-      wall_ms > 0.0 ? static_cast<f64>(stats.completed) / (wall_ms / 1000.0)
-                    : 0.0;
-
-  obs::StreamingHistogram latency_all;
-  for (const fleet::FleetTierStats& t : stats.tiers) {
-    latency_all.merge(t.latency_ms);
-  }
-  const auto opt_json = [](std::optional<f64> v) {
-    return v ? obs::Json(*v) : obs::Json(nullptr);
-  };
-
-  obs::Json report = obs::Json::object();
-  report["app"] = app.name;
-  report["pattern"] = std::string(to_string(cfg.pattern));
-  report["backend"] = std::string(exec::to_string(backend));
-  report["size"] = size;
-  report["requests"] = static_cast<i64>(requests);
-  report["concurrency"] = static_cast<i64>(concurrency);
-  report["queue_capacity"] = static_cast<i64>(queue_capacity);
-  report["shed_tiers"] = static_cast<i64>(shed_tiers);
-  report["wall_ms"] = wall_ms;
-  report["throughput_rps"] = throughput_rps;
-  obs::Json statuses = obs::Json::object();
-  statuses["completed"] = stats.completed;
-  statuses["shed"] = stats.shed;
-  statuses["rejected"] = stats.rejected;
-  statuses["deadline_expired"] = stats.deadline_expired;
-  statuses["errors"] = stats.errors;
-  statuses["failovers"] = stats.failovers;
-  report["statuses"] = std::move(statuses);
-  obs::Json latency = obs::Json::object();
-  latency["p50_ms"] = opt_json(latency_all.percentile(50.0));
-  latency["p95_ms"] = opt_json(latency_all.percentile(95.0));
-  latency["p99_ms"] = opt_json(latency_all.percentile(99.0));
-  report["latency"] = std::move(latency);
-  obs::Json devices_json = obs::Json::array();
-  for (const fleet::FleetDeviceStats& d : stats.devices) {
+/// Per-target placement counters as a JSON array. `rejected` stays for the
+/// BENCH_serve.json v2 schema and always reads 0: a target has no queue of
+/// its own, so nothing is ever rejected by one.
+obs::Json devices_json(const std::vector<pipeline::TargetStats>& devices) {
+  obs::Json out = obs::Json::array();
+  for (const pipeline::TargetStats& d : devices) {
     obs::Json j = obs::Json::object();
     j["device"] = d.device;
     j["routed"] = d.routed;
     j["completed"] = d.completed;
     j["errors"] = d.errors;
-    j["rejected"] = d.rejected;
+    j["rejected"] = u64{0};
     j["probes"] = d.probes;
     j["quarantines"] = d.quarantines;
-    devices_json.push_back(std::move(j));
+    out.push_back(std::move(j));
   }
-  report["devices"] = std::move(devices_json);
-  obs::Json tiers_json = obs::Json::array();
-  for (const fleet::FleetTierStats& t : stats.tiers) {
-    obs::Json j = obs::Json::object();
-    j["tier"] = static_cast<i64>(t.tier);
-    j["submitted"] = t.submitted;
-    j["completed"] = t.completed;
-    j["shed"] = t.shed;
-    j["browned_out"] = t.browned_out;
-    j["rejected"] = t.rejected;
-    j["deadline_expired"] = t.deadline_expired;
-    j["errors"] = t.errors;
-    j["p99_ms"] = opt_json(t.latency_ms.percentile(99.0));
-    tiers_json.push_back(std::move(j));
-  }
-  report["admission"] = std::move(tiers_json);
-
-  const std::string json_arg = cli.get_string("json", "");
-  if (json_arg == "true") {
-    std::cout << report.dump(2) << "\n";
-    return 0;
-  }
-  if (!json_arg.empty()) write_text_file(json_arg, report.dump(2));
-
-  std::string device_names;
-  for (const fleet::FleetDeviceStats& d : stats.devices) {
-    device_names += (device_names.empty() ? "" : "+") + d.device;
-  }
-  AsciiTable table("fleet-serving " + app.name + " on " + device_names +
-                   ", " + std::to_string(size) + "x" + std::to_string(size));
-  table.set_header({"metric", "value"});
-  table.add_row({"requests", std::to_string(requests)});
-  table.add_row({"completed", std::to_string(stats.completed)});
-  table.add_row({"shed", std::to_string(stats.shed)});
-  table.add_row({"rejected", std::to_string(stats.rejected)});
-  table.add_row({"errors", std::to_string(stats.errors)});
-  table.add_row({"failovers", std::to_string(stats.failovers)});
-  table.add_row({"wall time ms", AsciiTable::num(wall_ms, 2)});
-  table.add_row({"throughput req/s", AsciiTable::num(throughput_rps, 1)});
-  for (const fleet::FleetDeviceStats& d : stats.devices) {
-    table.add_row({"routed -> " + d.device, std::to_string(d.routed)});
-  }
-  table.print(std::cout);
-  if (!json_arg.empty()) std::cout << "wrote " << json_arg << "\n";
-  return 0;
+  return out;
 }
 
 int run_serve(int argc, char** argv) {
@@ -1121,14 +1000,16 @@ int run_serve(int argc, char** argv) {
       .option("variant", "naive|isp|isp-warp|isp-tiled|isp+m (default isp)")
       .option("backend", "interp|native execution engine (default native)")
       .option("requests", "requests to submit (default 64)")
-      .option("concurrency", "server worker threads (default 4)")
-      .option("queue", "bounded queue capacity (default: requests, no drops)")
-      .option("deadline-ms", "per-request queue deadline, 0 = none")
+      .option("concurrency", "server worker threads per device (default 4)")
+      .option("queue",
+              "queue slots per device (default: requests, no drops)")
+      .option("deadline-ms", "per-request deadline, 0 = none")
       .option("sampled", "timing-only sampled launches (max throughput)")
       .option("devices",
-              "comma list of fleet devices; when set, requests go through "
-              "the multi-device fleet router")
-      .option("shed-tiers", "fleet admission priority tiers (default 3)")
+              "comma list of devices to serve on, one execution target "
+              "each, with tiered admission and failover (default: --device)")
+      .option("shed-tiers", "admission priority tiers with --devices "
+                            "(default 3)")
       .option("json", "report as JSON: --json to stdout, --json=PATH to file");
   if (cli.finish()) {
     std::cout << cli.help();
@@ -1151,64 +1032,78 @@ int run_serve(int argc, char** argv) {
   const auto queue_capacity = static_cast<std::size_t>(
       cli.get_int("queue", requests));
   const f64 deadline_ms = cli.get_double("deadline-ms", 0.0);
+  // --devices: one target per device, each with a device breaker, and the
+  // admission ladder over priority tiers round-robined across the
+  // requests. Without it: one target (--device) and no ladder.
+  const std::string devices_arg = cli.get_string("devices", "");
+  const std::vector<sim::DeviceSpec> devices =
+      devices_arg.empty() ? std::vector<sim::DeviceSpec>{}
+                          : parse_devices(devices_arg);
+  const u32 shed_tiers = devices.empty() ? 1 : parse_shed_tiers(cli);
+  const std::size_t targets = std::max<std::size_t>(devices.size(), 1);
 
   const auto graph = std::make_shared<const pipeline::KernelGraph>(
       pipeline::build_graph(app));
   const auto source = std::make_shared<const Image<f32>>(
       make_noise_image({size, size}, 4242));
 
-  const std::string devices_arg = cli.get_string("devices", "");
-  if (!devices_arg.empty()) {
-    return serve_fleet(cli, app, cfg, backend, graph, source, size, requests,
-                       concurrency, queue_capacity, deadline_ms,
-                       parse_devices(devices_arg), parse_shed_tiers(cli));
-  }
-
   // A fresh cache per invocation so the reported hit-rate describes this
   // serving run, not whatever the process did before.
   pipeline::KernelCache cache;
   pipeline::ServerConfig server_cfg;
-  server_cfg.workers = concurrency;
-  server_cfg.queue_capacity = queue_capacity;
+  server_cfg.workers = concurrency * static_cast<i32>(targets);
+  server_cfg.queue_capacity = queue_capacity * targets;
   server_cfg.executor.sim = cfg;
   server_cfg.executor.concurrency = 1;  // parallelism across requests
   server_cfg.executor.cache = &cache;
   server_cfg.executor.backend = backend;
+  server_cfg.devices = devices;
+  if (!devices.empty()) {
+    server_cfg.admission = pipeline::AdmissionConfig{.tiers = shed_tiers};
+  }
 
   using Clock = std::chrono::steady_clock;
   pipeline::ServerStats stats;
-  u64 ok_count = 0;
   const Clock::time_point t0 = Clock::now();
   {
     pipeline::PipelineServer server(server_cfg);
     std::vector<std::future<pipeline::ServeResponse>> futures;
     futures.reserve(static_cast<std::size_t>(requests));
+    pipeline::ServeRequest request;
+    request.graph = graph;
+    request.source = source;
+    request.deadline_ms = deadline_ms;
+    request.backend = backend;
     for (i32 i = 0; i < requests; ++i) {
-      futures.push_back(
-          server.submit({graph, source, deadline_ms, backend, std::nullopt}));
+      request.tier = static_cast<u32>(i) % shed_tiers;
+      futures.push_back(server.submit(request));
     }
-    for (auto& f : futures) {
-      if (f.get().status == pipeline::ServeStatus::kOk) ++ok_count;
-    }
+    for (auto& f : futures) (void)f.get();
     server.shutdown();
     stats = server.stats();
   }
   const f64 wall_ms =
       std::chrono::duration<f64, std::milli>(Clock::now() - t0).count();
   const f64 throughput_rps =
-      wall_ms > 0.0 ? static_cast<f64>(ok_count) / (wall_ms / 1000.0) : 0.0;
+      wall_ms > 0.0 ? static_cast<f64>(stats.completed) / (wall_ms / 1000.0)
+                    : 0.0;
   const pipeline::KernelCacheStats cache_stats = cache.stats();
+  std::string device_names;
+  for (const pipeline::TargetStats& d : stats.devices) {
+    device_names += (device_names.empty() ? "" : "+") + d.device;
+  }
 
   obs::Json report = obs::Json::object();
   report["app"] = app.name;
   report["pattern"] = std::string(to_string(cfg.pattern));
   report["variant"] = cli.get_string("variant", "isp");
   report["backend"] = std::string(exec::to_string(backend));
-  report["device"] = cfg.device.name;
+  report["device"] = device_names;
   report["size"] = size;
   report["requests"] = static_cast<i64>(requests);
   report["concurrency"] = static_cast<i64>(concurrency);
   report["queue_capacity"] = static_cast<i64>(queue_capacity);
+  report["shed_tiers"] = static_cast<i64>(shed_tiers);
   report["sampled"] = cfg.sampled;
   report["wall_ms"] = wall_ms;
   report["throughput_rps"] = throughput_rps;
@@ -1228,10 +1123,28 @@ int run_serve(int argc, char** argv) {
   report["latency"] = std::move(latency);
   obs::Json statuses = obs::Json::object();
   statuses["completed"] = stats.completed;
+  statuses["shed"] = stats.shed;
   statuses["rejected"] = stats.rejected;
   statuses["deadline_expired"] = stats.deadline_expired;
   statuses["errors"] = stats.errors;
+  statuses["failovers"] = stats.failovers;
   report["statuses"] = std::move(statuses);
+  report["devices"] = devices_json(stats.devices);
+  obs::Json tiers_json = obs::Json::array();
+  for (const pipeline::TierStats& t : stats.tiers) {
+    obs::Json j = obs::Json::object();
+    j["tier"] = static_cast<i64>(t.tier);
+    j["submitted"] = t.submitted;
+    j["completed"] = t.completed;
+    j["shed"] = t.shed;
+    j["browned_out"] = t.browned_out;
+    j["rejected"] = t.rejected;
+    j["deadline_expired"] = t.deadline_expired;
+    j["errors"] = t.errors;
+    j["p99_ms"] = opt_json(t.latency_ms.percentile(99.0));
+    tiers_json.push_back(std::move(j));
+  }
+  report["admission"] = std::move(tiers_json);
   obs::Json cache_json = obs::Json::object();
   cache_json["hits"] = cache_stats.hits;
   cache_json["misses"] = cache_stats.misses;
@@ -1253,16 +1166,18 @@ int run_serve(int argc, char** argv) {
 
   AsciiTable table("serving " + app.name + " (" +
                    std::to_string(app.stages.size()) + " kernel(s)) on " +
-                   cfg.device.name + ", " + std::to_string(size) + "x" +
+                   device_names + ", " + std::to_string(size) + "x" +
                    std::to_string(size));
   table.set_header({"metric", "value"});
   table.add_row({"backend", std::string(exec::to_string(backend))});
   table.add_row({"requests", std::to_string(requests)});
-  table.add_row({"workers", std::to_string(concurrency)});
+  table.add_row({"workers", std::to_string(server_cfg.workers)});
   table.add_row({"completed", std::to_string(stats.completed)});
+  table.add_row({"shed", std::to_string(stats.shed)});
   table.add_row({"rejected", std::to_string(stats.rejected)});
   table.add_row({"deadline expired", std::to_string(stats.deadline_expired)});
   table.add_row({"errors", std::to_string(stats.errors)});
+  table.add_row({"failovers", std::to_string(stats.failovers)});
   table.add_row({"wall time ms", AsciiTable::num(wall_ms, 2)});
   table.add_row({"throughput req/s", AsciiTable::num(throughput_rps, 1)});
   const auto pct_cell = [&](f64 p) {
@@ -1277,6 +1192,9 @@ int run_serve(int argc, char** argv) {
                                             std::to_string(cache_stats.misses)});
   table.add_row(
       {"cache hit rate", AsciiTable::num(cache_stats.hit_rate(), 3)});
+  for (const pipeline::TargetStats& d : stats.devices) {
+    table.add_row({"routed -> " + d.device, std::to_string(d.routed)});
+  }
   table.print(std::cout);
   if (!json_arg.empty()) std::cout << "wrote " << json_arg << "\n";
   return 0;
@@ -1306,30 +1224,31 @@ struct LoadSetup {
   std::vector<LoadSlice> slices;
   std::vector<sim::DeviceSpec> devices;
   pipeline::KernelCache* cache = nullptr;
-  i32 workers = 4;  ///< per shard
-  std::size_t queue_capacity = 128;  ///< per shard
+  i32 workers = 4;  ///< per device
+  std::size_t queue_capacity = 128;  ///< per device
   f64 deadline_ms = 0.0;
   u32 shed_tiers = 3;
   exec::Backend backend = exec::Backend::kNative;
 };
 
-fleet::FleetConfig loadtest_fleet_config(const LoadSetup& setup,
-                                         const LoadSlice& slice) {
-  fleet::FleetConfig cfg;
+pipeline::ServerConfig loadtest_server_config(const LoadSetup& setup,
+                                              const LoadSlice& slice) {
+  pipeline::ServerConfig cfg;
+  const std::size_t targets = setup.devices.size();
+  cfg.workers = setup.workers * static_cast<i32>(targets);
+  cfg.queue_capacity = setup.queue_capacity * targets;
+  cfg.executor.sim = slice.sim;  // the device is replaced per target
+  cfg.executor.concurrency = 1;  // parallelism across requests
+  cfg.executor.cache = setup.cache;
+  cfg.executor.backend = setup.backend;
   cfg.devices = setup.devices;
-  cfg.shard.workers = setup.workers;
-  cfg.shard.queue_capacity = setup.queue_capacity;
-  cfg.shard.executor.sim = slice.sim;  // per-shard device overwritten inside
-  cfg.shard.executor.concurrency = 1;  // parallelism across requests
-  cfg.shard.executor.cache = setup.cache;
-  cfg.shard.executor.backend = setup.backend;
-  cfg.admission.tiers = setup.shed_tiers;
+  cfg.admission = pipeline::AdmissionConfig{.tiers = setup.shed_tiers};
   return cfg;
 }
 
-fleet::FleetRequest load_request(const LoadSetup& setup, const LoadCombo& c,
-                                 u32 tier) {
-  fleet::FleetRequest req;
+pipeline::ServeRequest load_request(const LoadSetup& setup,
+                                    const LoadCombo& c, u32 tier) {
+  pipeline::ServeRequest req;
   req.graph = c.graph;
   req.source = c.source;
   req.deadline_ms = setup.deadline_ms;
@@ -1339,15 +1258,15 @@ fleet::FleetRequest load_request(const LoadSetup& setup, const LoadCombo& c,
 }
 
 /// Closed-loop capacity probe for one slice: keep 2x (workers x devices)
-/// top-tier requests outstanding for `duration_ms` and measure the fleet's
+/// top-tier requests outstanding for `duration_ms` and measure the server's
 /// completion rate. The open-loop tiers offer multiples of this rate.
 f64 calibrate_capacity_rps(const LoadSetup& setup, const LoadSlice& slice,
                            f64 duration_ms) {
   using Clock = std::chrono::steady_clock;
-  fleet::FleetServer server(loadtest_fleet_config(setup, slice));
+  pipeline::PipelineServer server(loadtest_server_config(setup, slice));
   const std::size_t outstanding_target =
       static_cast<std::size_t>(setup.workers) * setup.devices.size() * 2;
-  std::deque<std::future<fleet::FleetResponse>> inflight;
+  std::deque<std::future<pipeline::ServeResponse>> inflight;
   u64 ok = 0;
   std::size_t combo = 0;
   const Clock::time_point t0 = Clock::now();
@@ -1359,12 +1278,12 @@ f64 calibrate_capacity_rps(const LoadSetup& setup, const LoadSlice& slice,
       const LoadCombo& c = setup.combos[combo++ % setup.combos.size()];
       inflight.push_back(server.submit(load_request(setup, c, 0)));
     } else {
-      if (inflight.front().get().status == fleet::FleetStatus::kOk) ++ok;
+      if (inflight.front().get().status == pipeline::ServeStatus::kOk) ++ok;
       inflight.pop_front();
     }
   }
   for (auto& f : inflight) {
-    if (f.get().status == fleet::FleetStatus::kOk) ++ok;
+    if (f.get().status == pipeline::ServeStatus::kOk) ++ok;
   }
   server.shutdown();
   const f64 wall_s = std::chrono::duration<f64>(Clock::now() - t0).count();
@@ -1375,10 +1294,10 @@ f64 calibrate_capacity_rps(const LoadSetup& setup, const LoadSlice& slice,
   return static_cast<f64>(ok) / wall_s;
 }
 
-/// Index-wise fleet stats merge: the tier runs all use the same device
-/// order and admission tier count, so devices/tiers line up by position.
-void merge_fleet_stats(fleet::FleetStats& into,
-                       const fleet::FleetStats& from) {
+/// Index-wise stats merge: the tier runs all use the same device order and
+/// admission tier count, so devices/tiers line up by position.
+void merge_stats(pipeline::ServerStats& into,
+                 const pipeline::ServerStats& from) {
   into.submitted += from.submitted;
   into.completed += from.completed;
   into.shed += from.shed;
@@ -1388,20 +1307,19 @@ void merge_fleet_stats(fleet::FleetStats& into,
   into.failovers += from.failovers;
   if (into.devices.empty()) into.devices.resize(from.devices.size());
   for (std::size_t i = 0; i < from.devices.size(); ++i) {
-    fleet::FleetDeviceStats& d = into.devices[i];
-    const fleet::FleetDeviceStats& s = from.devices[i];
+    pipeline::TargetStats& d = into.devices[i];
+    const pipeline::TargetStats& s = from.devices[i];
     d.device = s.device;
     d.routed += s.routed;
     d.completed += s.completed;
     d.errors += s.errors;
-    d.rejected += s.rejected;
     d.probes += s.probes;
     d.quarantines += s.quarantines;
   }
   if (into.tiers.empty()) into.tiers.resize(from.tiers.size());
   for (std::size_t i = 0; i < from.tiers.size(); ++i) {
-    fleet::FleetTierStats& t = into.tiers[i];
-    const fleet::FleetTierStats& s = from.tiers[i];
+    pipeline::TierStats& t = into.tiers[i];
+    const pipeline::TierStats& s = from.tiers[i];
     t.tier = s.tier;
     t.submitted += s.submitted;
     t.shed += s.shed;
@@ -1418,7 +1336,7 @@ void merge_fleet_stats(fleet::FleetStats& into,
 struct TierResult {
   f64 offered_rps = 0.0;  ///< wall-time-weighted mean offered rate
   f64 wall_s = 0.0;       ///< first submit -> fully drained, summed
-  fleet::FleetStats stats;
+  pipeline::ServerStats stats;
 
   [[nodiscard]] f64 throughput_rps() const {
     return wall_s > 0.0 ? static_cast<f64>(stats.completed) / wall_s : 0.0;
@@ -1436,19 +1354,19 @@ struct TierResult {
   }
   [[nodiscard]] obs::StreamingHistogram latency_all() const {
     obs::StreamingHistogram all;
-    for (const fleet::FleetTierStats& t : stats.tiers) all.merge(t.latency_ms);
+    for (const pipeline::TierStats& t : stats.tiers) all.merge(t.latency_ms);
     return all;
   }
 };
 
 /// Open-loop tier run: Poisson arrivals (exponential inter-arrival times)
-/// at `multiplier` x each slice's calibrated fleet capacity, independent of
+/// at `multiplier` x each slice's calibrated capacity, independent of
 /// completion — queue pressure above capacity is real, as at a production
 /// ingress. Requests rotate through the app mix AND the admission priority
 /// tiers, so overload shows up as tier-ordered shedding rather than
-/// indiscriminate rejection. Slices run serially on fresh fleets over the
-/// shared warm cache. `flight_recorder` (optional) receives per-device SLO
-/// snapshots (200 ms exporter) and watchdog frames.
+/// indiscriminate rejection. Slices run serially on fresh servers over the
+/// shared warm cache. `flight_recorder` (optional) receives SLO snapshots
+/// (200 ms exporter) and watchdog frames.
 TierResult run_tier(const LoadSetup& setup, f64 multiplier, f64 duration_ms,
                     u64 seed, obs::FlightRecorder* flight_recorder) {
   using Clock = std::chrono::steady_clock;
@@ -1457,21 +1375,15 @@ TierResult run_tier(const LoadSetup& setup, f64 multiplier, f64 duration_ms,
   for (std::size_t s = 0; s < setup.slices.size(); ++s) {
     const LoadSlice& slice = setup.slices[s];
     const f64 offered_rps = slice.capacity_rps * multiplier;
-    fleet::FleetConfig cfg = loadtest_fleet_config(setup, slice);
-    cfg.shard.flight_recorder = flight_recorder;
-    fleet::FleetServer server(cfg);
+    pipeline::ServerConfig cfg = loadtest_server_config(setup, slice);
+    cfg.flight_recorder = flight_recorder;
+    pipeline::PipelineServer server(cfg);
 
     std::unique_ptr<obs::SloExporter> exporter;
     if (flight_recorder != nullptr) {
       exporter = std::make_unique<obs::SloExporter>(
           *flight_recorder,
-          [&server] {
-            obs::Json all = obs::Json::object();
-            for (const auto& [device, slo] : server.device_slo()) {
-              all[device] = slo.to_json();
-            }
-            return all;
-          },
+          [&server] { return server.slo_snapshot().to_json(); },
           /*interval_ms=*/200);
     }
 
@@ -1490,15 +1402,15 @@ TierResult run_tier(const LoadSetup& setup, f64 multiplier, f64 duration_ms,
       if (at >= end) break;
       std::this_thread::sleep_until(at);
       const LoadCombo& c = setup.combos[combo++ % setup.combos.size()];
-      // Open loop: the future is dropped — the fleet settles every promise
+      // Open loop: the future is dropped — the server settles every promise
       // and its stats count every outcome; the generator never blocks.
       (void)server.submit(
           load_request(setup, c, tier_rr++ % setup.shed_tiers));
     }
-    server.shutdown();  // drains every shard; every request settles
+    server.shutdown();  // drains the queue; every request settles
     const f64 wall_s = std::chrono::duration<f64>(Clock::now() - t0).count();
     if (exporter != nullptr) exporter->stop();  // final window sample
-    merge_fleet_stats(result.stats, server.stats());
+    merge_stats(result.stats, server.stats());
     result.wall_s += wall_s;
     offered_weighted += offered_rps * wall_s;
   }
@@ -1540,7 +1452,7 @@ obs::Json tier_json(std::string_view name, f64 multiplier, f64 duration_ms,
   // requires this section — it is how shedding order and the admitted
   // top-tier p99 get asserted in CI.
   obs::Json admission = obs::Json::array();
-  for (const fleet::FleetTierStats& a : tier.stats.tiers) {
+  for (const pipeline::TierStats& a : tier.stats.tiers) {
     obs::Json j = obs::Json::object();
     j["tier"] = static_cast<i64>(a.tier);
     j["submitted"] = a.submitted;
@@ -1602,12 +1514,12 @@ int run_loadtest(int argc, char** argv) {
   cli.option("apps", "comma list of apps to mix (default gaussian,sobel)")
       .option("patterns", "comma list of border patterns (default clamp,mirror)")
       .option("devices",
-              "comma list of fleet devices (default gtx680,rtx2080)")
-      .option("shed-tiers", "fleet admission priority tiers (default 3)")
+              "comma list of devices (default gtx680,rtx2080)")
+      .option("shed-tiers", "admission priority tiers (default 3)")
       .option("size", "synthetic image extent (default 128)")
       .option("block", "threadblock TXxTY (default 32x4)")
-      .option("workers", "worker threads per device shard (default 4)")
-      .option("queue", "queue capacity per device shard (default 128)")
+      .option("workers", "worker threads per device (default 4)")
+      .option("queue", "queue slots per device (default 128)")
       .option("duration-ms", "submission window per tier slice (default 1500)")
       .option("tiers", "capacity multipliers (default 0.5,0.9,1.5)")
       .option("deadline-ms", "per-request deadline, 0 = none")
@@ -1693,20 +1605,20 @@ int run_loadtest(int argc, char** argv) {
   const std::string json_path = cli.get_string("json", "BENCH_serve.json");
 
   // Warm the shared cache: one pass over every app x pattern x device
-  // pairing (pinned placements so every shard compiles its own device-keyed
+  // pairing (pinned placements so every target compiles its own device-keyed
   // modules) so tier runs measure steady-state serving, not first-touch
   // compilation. The kNaive pass pre-compiles the brownout artifacts —
   // otherwise the first browned-out request under overload pays a JIT
   // compile inside the measurement window.
   for (const LoadSlice& slice : setup.slices) {
-    fleet::FleetServer warm(loadtest_fleet_config(setup, slice));
-    std::vector<std::future<fleet::FleetResponse>> futures;
+    pipeline::PipelineServer warm(loadtest_server_config(setup, slice));
+    std::vector<std::future<pipeline::ServeResponse>> futures;
     for (const LoadCombo& c : setup.combos) {
       for (const sim::DeviceSpec& dev : setup.devices) {
         for (const std::optional<codegen::Variant> variant :
              {std::optional<codegen::Variant>{},
               std::optional<codegen::Variant>{codegen::Variant::kNaive}}) {
-          fleet::FleetRequest req = load_request(setup, c, 0);
+          pipeline::ServeRequest req = load_request(setup, c, 0);
           req.deadline_ms = 0.0;
           req.pin_device = dev.name;
           req.variant = variant;
@@ -1715,8 +1627,8 @@ int run_loadtest(int argc, char** argv) {
       }
     }
     for (auto& f : futures) {
-      const fleet::FleetResponse r = f.get();
-      if (r.status != fleet::FleetStatus::kOk) {
+      const pipeline::ServeResponse r = f.get();
+      if (r.status != pipeline::ServeStatus::kOk) {
         throw IoError("loadtest warmup (" + slice.pattern_name +
                       ") failed: " + r.error);
       }
@@ -1724,7 +1636,7 @@ int run_loadtest(int argc, char** argv) {
     warm.shutdown();
   }
 
-  std::cout << "calibrating closed-loop fleet capacity ("
+  std::cout << "calibrating closed-loop serving capacity ("
             << setup.combos.size() << " apps x " << setup.slices.size()
             << " patterns, " << setup.devices.size() << " device(s) x "
             << workers << " workers)...\n";
@@ -1746,20 +1658,20 @@ int run_loadtest(int argc, char** argv) {
   };
 
   obs::Json tiers = obs::Json::array();
-  AsciiTable table("loadtest tiers (fleet capacity " +
+  AsciiTable table("loadtest tiers (capacity " +
                    AsciiTable::num(capacity_rps, 1) + " req/s over " +
                    std::to_string(setup.devices.size()) + " device(s))");
   table.set_header({"tier", "offered rps", "throughput rps", "p50 ms",
                     "p99 ms", "shed %", "rejected %"});
   f64 top_multiplier = 0.0;
   for (f64 m : multipliers) top_multiplier = std::max(top_multiplier, m);
-  fleet::FleetStats fleet_total;  ///< all measured tiers (placement story)
+  pipeline::ServerStats total;  ///< all measured tiers (placement story)
   for (std::size_t i = 0; i < multipliers.size(); ++i) {
     const f64 m = multipliers[i];
     const TierResult tier =
         run_tier(setup, m, duration_ms, seed + i * 100, nullptr);
     tiers.push_back(tier_json(tier_name(m), m, duration_ms, tier));
-    merge_fleet_stats(fleet_total, tier.stats);
+    merge_stats(total, tier.stats);
     const obs::StreamingHistogram all = tier.latency_all();
     const auto p = [&](f64 pct) {
       const std::optional<f64> v = all.percentile(pct);
@@ -1794,8 +1706,9 @@ int run_loadtest(int argc, char** argv) {
 
   obs::Json report = obs::Json::object();
   report["bench"] = "loadtest";
-  // v2: fleet serving — per-device placement stats and per-admission-tier
-  // shed/brownout breakdowns joined the schema (bench_diff gates on it).
+  // v2: multi-device serving — per-device placement stats and
+  // per-admission-tier shed/brownout breakdowns joined the schema
+  // (bench_diff gates on it).
   report["schema_version"] = static_cast<i64>(2);
   obs::Json config = obs::Json::object();
   config["apps"] = [&] {
@@ -1829,19 +1742,7 @@ int run_loadtest(int argc, char** argv) {
   report["tiers"] = std::move(tiers);
   // Placement over every measured tier: where requests landed, how often
   // each device was quarantined, how many half-open probes it absorbed.
-  obs::Json devices_json = obs::Json::array();
-  for (const fleet::FleetDeviceStats& d : fleet_total.devices) {
-    obs::Json j = obs::Json::object();
-    j["device"] = d.device;
-    j["routed"] = d.routed;
-    j["completed"] = d.completed;
-    j["errors"] = d.errors;
-    j["rejected"] = d.rejected;
-    j["probes"] = d.probes;
-    j["quarantines"] = d.quarantines;
-    devices_json.push_back(std::move(j));
-  }
-  report["devices"] = std::move(devices_json);
+  report["devices"] = devices_json(total.devices);
   obs::Json overhead = obs::Json::object();
   overhead["obs_off_rps"] = off_rps;
   overhead["obs_on_rps"] = on_rps;
@@ -1873,10 +1774,10 @@ std::string injected_point(const std::string& error) {
   return error.substr(start, end - start);
 }
 
-/// `chaos --devices=...`: device-level fleet chaos. Each seeded schedule
+/// `chaos --devices=...`: device-level chaos. Each seeded schedule
 /// afflicts all but one seed-chosen device with kill / flap / stall faults
 /// (FaultPlan::device_chaos) and drives the 5-app x 4-pattern matrix
-/// through the fleet router, asserting:
+/// across the devices, asserting:
 ///   - every future settles (60 s cap -> hard exit, likely deadlock);
 ///   - every kOk answer is bit-identical to the CPU reference, failover
 ///     re-dispatches and browned-out (kNaive) responses included;
@@ -1885,7 +1786,7 @@ std::string injected_point(const std::string& error) {
 ///     absorbs the load);
 ///   - flapped devices re-converge: once their faults clear, a half-open
 ///     probe must restore routing to them (asserted per schedule).
-int run_chaos_fleet(const Cli& cli, i32 schedules, u64 seed_base,
+int run_chaos_devices(const Cli& cli, i32 schedules, u64 seed_base,
                     i32 requests, i32 size, f64 deadline_ms,
                     std::vector<sim::DeviceSpec> devices,
                     const std::string& mode, u32 shed_tiers) {
@@ -1894,7 +1795,7 @@ int run_chaos_fleet(const Cli& cli, i32 schedules, u64 seed_base,
                   "' (kill|flap|stall|mix)");
   }
   if (devices.size() < 2) {
-    throw IoError("fleet chaos needs --devices with >= 2 entries "
+    throw IoError("device chaos needs --devices with >= 2 entries "
                   "(one always survives)");
   }
   std::vector<std::string> device_names;
@@ -1953,28 +1854,29 @@ int run_chaos_fleet(const Cli& cli, i32 schedules, u64 seed_base,
       // module state leaks between schedules.
       pipeline::KernelCache cache;
 
-      fleet::FleetConfig fleet_cfg;
-      fleet_cfg.devices = devices;
-      fleet_cfg.shard.workers = 2;
-      fleet_cfg.shard.queue_capacity =
-          static_cast<std::size_t>(std::max(requests, 4));
-      fleet_cfg.shard.executor.sim.pattern = combo.pattern;
-      fleet_cfg.shard.executor.sim.constant = border_constant;
-      fleet_cfg.shard.executor.cache = &cache;
-      // The fleet is the resilience layer under test here: shard-internal
+      // Two workers and max(requests, 4) queue slots per device.
+      pipeline::ServerConfig server_cfg;
+      server_cfg.devices = devices;
+      server_cfg.workers = 2 * static_cast<i32>(devices.size());
+      server_cfg.queue_capacity =
+          static_cast<std::size_t>(std::max(requests, 4)) * devices.size();
+      server_cfg.executor.sim.pattern = combo.pattern;
+      server_cfg.executor.sim.constant = border_constant;
+      server_cfg.executor.cache = &cache;
+      // Device health is the resilience layer under test here: per-kernel
       // breakers and retries stay off so an injected device fault surfaces
       // as a device error and exercises failover, not the kernel fallback.
-      fleet_cfg.shard.breakers_enabled = false;
-      fleet_cfg.device_breaker.failure_threshold = 2;
-      fleet_cfg.device_breaker.open_cooldown_ms = 50;
-      fleet_cfg.admission.tiers = shed_tiers;
-      fleet_cfg.clock = &vclock;
+      server_cfg.breakers_enabled = false;
+      server_cfg.device_breaker.failure_threshold = 2;
+      server_cfg.device_breaker.open_cooldown_ms = 50;
+      server_cfg.admission = pipeline::AdmissionConfig{.tiers = shed_tiers};
+      server_cfg.clock = &vclock;
 
-      fleet::FleetServer server(fleet_cfg);
-      std::vector<std::future<fleet::FleetResponse>> futures;
+      pipeline::PipelineServer server(server_cfg);
+      std::vector<std::future<pipeline::ServeResponse>> futures;
       futures.reserve(static_cast<std::size_t>(requests));
       for (i32 i = 0; i < requests; ++i) {
-        fleet::FleetRequest req;
+        pipeline::ServeRequest req;
         req.graph = combo.graph;
         req.source = source;
         req.deadline_ms = deadline_ms;
@@ -1988,22 +1890,21 @@ int run_chaos_fleet(const Cli& cli, i32 schedules, u64 seed_base,
         // means deadlock.
         if (f.wait_for(std::chrono::seconds(60)) !=
             std::future_status::ready) {
-          std::cerr << "chaos violation: fleet request did not settle within "
+          std::cerr << "chaos violation: request did not settle within "
                     << "60s (seed " << seed << ", " << combo.app->name << "/"
                     << to_string(combo.pattern) << ") — likely deadlock\n";
-          std::_Exit(1);  // unwinding would block on the hung fleet
+          std::_Exit(1);  // unwinding would block on the hung server
         }
-        const fleet::FleetResponse resp = f.get();
+        const pipeline::ServeResponse resp = f.get();
         switch (resp.status) {
-          case fleet::FleetStatus::kOk: {
+          case pipeline::ServeStatus::kOk: {
             ++ok;
             ++schedule_ok;
             if (resp.browned_out) ++browned;
             if (resp.dispatches > 1) ++failovers;
             // Invariant: bit identity — failover re-dispatches and
             // browned-out kNaive responses included.
-            const CompareResult diff =
-                compare(resp.serve.output, combo.reference);
+            const CompareResult diff = compare(resp.output, combo.reference);
             if (diff.max_abs != 0.0) {
               violations.push_back(
                   "seed " + std::to_string(seed) + ": " + combo.app->name +
@@ -2013,25 +1914,25 @@ int run_chaos_fleet(const Cli& cli, i32 schedules, u64 seed_base,
             }
             break;
           }
-          case fleet::FleetStatus::kError: {
+          case pipeline::ServeStatus::kError: {
             ++errors;
             const std::string point = injected_point(resp.error);
             if (point.empty()) {
               violations.push_back("seed " + std::to_string(seed) +
-                                   ": non-injected fleet error: " +
+                                   ": non-injected device error: " +
                                    resp.error);
             } else {
               ++error_points[point];
             }
             break;
           }
-          case fleet::FleetStatus::kDeadlineExpired:
+          case pipeline::ServeStatus::kDeadlineExpired:
             ++expired;
             break;
-          case fleet::FleetStatus::kShed:
+          case pipeline::ServeStatus::kShed:
             ++shed;
             break;
-          case fleet::FleetStatus::kRejected:
+          case pipeline::ServeStatus::kRejected:
             ++rejected;
             break;
         }
@@ -2052,7 +1953,7 @@ int run_chaos_fleet(const Cli& cli, i32 schedules, u64 seed_base,
         bool healed = false;
         for (int attempt = 0; attempt < 10 && !healed; ++attempt) {
           vclock.advance(60);
-          fleet::FleetRequest probe;
+          pipeline::ServeRequest probe;
           probe.graph = combo.graph;
           probe.source = source;
           probe.pin_device = device;
@@ -2063,7 +1964,7 @@ int run_chaos_fleet(const Cli& cli, i32 schedules, u64 seed_base,
                       << "(seed " << seed << ", device " << device << ")\n";
             std::_Exit(1);
           }
-          healed = future.get().status == fleet::FleetStatus::kOk;
+          healed = future.get().status == pipeline::ServeStatus::kOk;
         }
         if (healed) {
           ++recoveries;
@@ -2075,8 +1976,8 @@ int run_chaos_fleet(const Cli& cli, i32 schedules, u64 seed_base,
       }
 
       server.shutdown();
-      const fleet::FleetStats stats = server.stats();
-      for (const fleet::FleetDeviceStats& d : stats.devices) {
+      const pipeline::ServerStats stats = server.stats();
+      for (const pipeline::TargetStats& d : stats.devices) {
         quarantines += d.quarantines;
       }
     }
@@ -2097,7 +1998,7 @@ int run_chaos_fleet(const Cli& cli, i32 schedules, u64 seed_base,
       }
       violations.push_back(
           "seed " + std::to_string(seed) +
-          ": no fleet request succeeded — unrecoverable fault" +
+          ": no request succeeded — unrecoverable fault" +
           (worst.empty() ? std::string()
                          : " at fault point '" + worst + "'"));
     }
@@ -2149,7 +2050,7 @@ int run_chaos_fleet(const Cli& cli, i32 schedules, u64 seed_base,
     for (const std::string& n : device_names) {
       device_list += (device_list.empty() ? "" : "+") + n;
     }
-    AsciiTable table("fleet chaos (" + mode + "): " +
+    AsciiTable table("device chaos (" + mode + "): " +
                      std::to_string(schedules) + " schedule(s) on " +
                      device_list);
     table.set_header({"metric", "value"});
@@ -2181,7 +2082,7 @@ int run_chaos_fleet(const Cli& cli, i32 schedules, u64 seed_base,
     std::cerr << "chaos FAILED: " << violations.size() << " violation(s)\n";
     return 1;
   }
-  std::cout << "fleet chaos invariants hold across " << schedules
+  std::cout << "device chaos invariants hold across " << schedules
             << " schedule(s)\n";
   return 0;
 }
@@ -2200,11 +2101,11 @@ int run_chaos(int argc, char** argv) {
               "fault point to fail unrecoverably: compile.lower|cache.insert|"
               "executor.stage|server.exec|launcher.launch")
       .option("devices",
-              "comma-separated fleet (gtx680|rtx2080); switches to "
-              "device-level fleet chaos")
+              "comma-separated devices (gtx680|rtx2080); switches to "
+              "device-level chaos")
       .option("device-fault",
-              "fleet fault mode: kill|flap|stall|mix (default mix)")
-      .option("shed-tiers", "admission tiers for fleet chaos (default 3)")
+              "device fault mode: kill|flap|stall|mix (default mix)")
+      .option("shed-tiers", "admission tiers for device chaos (default 3)")
       .option("json", "report as JSON: --json to stdout, --json=PATH to file");
   if (cli.finish()) {
     std::cout << cli.help();
@@ -2236,7 +2137,7 @@ int run_chaos(int argc, char** argv) {
           "--force-fail/--variant apply to single-server chaos only; drop "
           "--devices or those flags");
     }
-    return run_chaos_fleet(cli, schedules, seed_base, requests, size,
+    return run_chaos_devices(cli, schedules, seed_base, requests, size,
                            deadline_ms, parse_devices(devices_arg),
                            cli.get_string("device-fault", "mix"),
                            parse_shed_tiers(cli));
@@ -2315,9 +2216,12 @@ int run_chaos(int argc, char** argv) {
       pipeline::PipelineServer server(server_cfg);
       std::vector<std::future<pipeline::ServeResponse>> futures;
       futures.reserve(static_cast<std::size_t>(requests));
+      pipeline::ServeRequest request;
+      request.graph = combo.graph;
+      request.source = source;
+      request.deadline_ms = deadline_ms;
       for (i32 i = 0; i < requests; ++i) {
-        futures.push_back(server.submit(
-            {combo.graph, source, deadline_ms, std::nullopt, std::nullopt}));
+        futures.push_back(server.submit(request));
       }
 
       for (auto& f : futures) {
@@ -2365,6 +2269,7 @@ int run_chaos(int argc, char** argv) {
             ++expired;
             break;
           case pipeline::ServeStatus::kRejected:
+          case pipeline::ServeStatus::kShed:  // no admission ladder here
             ++rejected;
             break;
         }
