@@ -2,13 +2,13 @@
 // cold-compile-per-request baseline.
 //
 // Drives the PipelineServer with the same request stream twice per app:
-// once with the cache disabled (every request recompiles its stage kernels,
-// the way run_app_simulated behaved before the cache existed) and once
-// against a pre-warmed KernelCache. Emits throughput and latency
-// percentiles per mode plus the warm/cold throughput ratio — the number the
-// acceptance bar cares about (warm >= 2x cold). Launches are sampled
-// (timing-only): this bench measures the runtime around the simulator, not
-// the simulated kernels.
+// once with the cache disabled (every request recompiles its stage kernels)
+// and once against a pre-warmed KernelCache. Each server worker runs a
+// request's stages inline; --concurrency sets the worker count. Emits
+// throughput and latency percentiles per mode plus the warm/cold throughput
+// ratio — the number the acceptance bar cares about (warm >= 2x cold).
+// Launches are sampled (timing-only): this bench measures the runtime around
+// the simulator, not the simulated kernels.
 #include <chrono>
 #include <cmath>
 #include <iostream>
@@ -116,7 +116,6 @@ int run(int argc, char** argv) {
     // Small blocks keep the interpreter cost of a sampled launch low: the
     // bench isolates serving + compile overhead, not simulated kernel time.
     cold_cfg.executor.sim.block = {8, 4};
-    cold_cfg.executor.concurrency = 1;
     cold_cfg.executor.use_cache = false;
     cold_cfg.executor.backend = *backend;
     const ServingRun cold = run_serving(graph, source, cold_cfg, requests);

@@ -14,13 +14,14 @@
 // Request scoping: every span carries (request_id, span_id,
 // parent_span_id). A TraceContext names the request a thread is currently
 // working for and the span new child spans should hang off; ScopedSpan
-// maintains it automatically for same-thread nesting, and the thread
-// handoff (server worker -> executor pool task) carries it explicitly, as it
-// carries the request's Deadline: snapshot TraceContext::current() before
-// the hop, install it with TraceContext::Scope inside. The result is one
-// tree per request in the export, regardless of which threads ran its
-// stages, and request_breakdown() extracts the per-request critical path
-// (queue wait vs compile vs kernel execution vs retry backoff).
+// maintains it automatically for same-thread nesting. The one thread
+// handoff (submitting thread -> dequeuing server worker) carries it
+// explicitly, as it carries the request's Deadline: the request takes its
+// ids at submit and the worker installs them with TraceContext::Scope. The
+// executor runs every stage inline on that worker, so no further hop exists.
+// The result is one tree per request in the export, and request_breakdown()
+// extracts the per-request critical path (queue wait vs compile vs kernel
+// execution vs retry backoff).
 //
 // The merged events export as Chrome trace-event JSON ("traceEvents" array
 // of complete "X" events) loadable in Perfetto or chrome://tracing; the

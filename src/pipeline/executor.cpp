@@ -1,13 +1,7 @@
 #include "pipeline/executor.hpp"
 
-#include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
-
 #include "common/deadline.hpp"
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "dsl/compile.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -236,11 +230,6 @@ ExecutorResult::Stage run_stage(const KernelGraph::Stage& stage,
 
 }  // namespace
 
-PipelineExecutor::PipelineExecutor(ExecutorConfig config)
-    : config_(std::move(config)) {
-  ISPB_EXPECTS(config_.concurrency >= 0);
-}
-
 ExecutorResult PipelineExecutor::run(
     const KernelGraph& graph, const Image<f32>& source,
     std::optional<exec::Backend> backend,
@@ -261,114 +250,20 @@ ExecutorResult PipelineExecutor::run(
   span.arg("stages", static_cast<i64>(graph.stages.size()));
   span.arg("backend", std::string(exec::to_string(engine)));
 
+  // images[0] = source copy, images[i + 1] = stage i output. Stage order is
+  // topological, so every image a stage reads is complete when it runs.
   const std::size_t n = graph.stages.size();
-  // images[0] = source copy, images[i + 1] = stage i output. A stage writes
-  // only its own slot and reads only slots of completed dependencies, so no
-  // synchronization beyond scheduling order is needed.
   std::vector<Image<f32>> images;
   images.reserve(n + 1);
   images.push_back(source);
   for (std::size_t i = 0; i < n; ++i) images.emplace_back(source.size());
 
   ExecutorResult result;
-  result.stages.resize(n);
-
-  i32 concurrency = config.concurrency;
-  if (concurrency == 0) {
-    concurrency = std::min<i32>(
-        {static_cast<i32>(graph.roots().size()), 8,
-         std::max(1, static_cast<i32>(std::thread::hardware_concurrency()))});
-  }
-
-  if (concurrency <= 1 || n == 1) {
-    // Inline: stage order is already topological.
-    for (std::size_t i = 0; i < n; ++i) {
-      result.stages[i] = run_stage(graph.stages[i], config, images,
-                                   images[i + 1], engine);
-    }
-  } else {
-    // Kahn scheduling over a dedicated pool (see header for why not the
-    // global pool).
-    std::vector<i32> remaining(n, 0);
-    std::vector<std::vector<i32>> dependents(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      remaining[i] = static_cast<i32>(graph.stages[i].deps.size());
-      for (i32 dep : graph.stages[i].deps) {
-        dependents[static_cast<std::size_t>(dep)].push_back(
-            static_cast<i32>(i));
-      }
-    }
-
-    ThreadPool pool(static_cast<unsigned>(concurrency));
-    std::mutex mu;
-    std::condition_variable done_cv;
-    std::size_t pending = n;
-    std::exception_ptr first_error;
-
-    std::function<void(i32)> submit_stage;
-
-    // Called under `mu` when a stage's last dependency settled: run it, or —
-    // once a failure is recorded — settle it unrun and cascade.
-    std::function<void(i32)> on_ready = [&](i32 stage_id) {
-      if (first_error == nullptr) {
-        submit_stage(stage_id);
-        return;
-      }
-      if (--pending == 0) done_cv.notify_all();
-      for (i32 dependent : dependents[static_cast<std::size_t>(stage_id)]) {
-        if (--remaining[static_cast<std::size_t>(dependent)] == 0) {
-          on_ready(dependent);
-        }
-      }
-    };
-
-    // Pool workers are fresh threads with empty trace contexts and no
-    // deadline; carry the caller's (the request this run belongs to) onto
-    // each stage task so stage spans stay in the request's tree and stages
-    // stop at the request's deadline.
-    const obs::TraceContext trace_ctx = obs::TraceContext::current();
-    const Deadline deadline = Deadline::current();
-    submit_stage = [&, trace_ctx, deadline](i32 stage_id) {
-      pool.submit([&, trace_ctx, deadline, stage_id] {
-        obs::TraceContext::Scope trace_scope(trace_ctx);
-        Deadline::Scope deadline_scope(deadline);
-        const auto idx = static_cast<std::size_t>(stage_id);
-        ExecutorResult::Stage outcome;
-        std::exception_ptr error;
-        try {
-          outcome = run_stage(graph.stages[idx], config, images,
-                              images[idx + 1], engine);
-        } catch (...) {
-          error = std::current_exception();
-        }
-        std::lock_guard lock(mu);
-        if (error == nullptr) {
-          result.stages[idx] = std::move(outcome);
-        } else if (first_error == nullptr) {
-          first_error = error;
-        }
-        if (--pending == 0) done_cv.notify_all();
-        for (i32 dependent : dependents[idx]) {
-          if (--remaining[static_cast<std::size_t>(dependent)] == 0) {
-            on_ready(dependent);
-          }
-        }
-      });
-    };
-
-    {
-      std::lock_guard lock(mu);
-      for (i32 root : graph.roots()) submit_stage(root);
-    }
-    std::unique_lock lock(mu);
-    done_cv.wait(lock, [&] { return pending == 0; });
-    lock.unlock();
-    pool.wait_idle();  // let the last task fully exit its closure
-    if (first_error != nullptr) std::rethrow_exception(first_error);
-  }
-
-  for (const ExecutorResult::Stage& stage : result.stages) {
-    result.total_time_ms += stage.stats.time_ms;
+  result.stages.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    result.stages.push_back(
+        run_stage(graph.stages[i], config, images, images[i + 1], engine));
+    result.total_time_ms += result.stages.back().stats.time_ms;
   }
   result.output = std::move(images.back());
   return result;

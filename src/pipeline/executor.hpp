@@ -1,20 +1,20 @@
-// PipelineExecutor: runs a KernelGraph on the simulator, scheduling stages
-// whose dependencies are satisfied concurrently on a common::ThreadPool.
+// PipelineExecutor: runs a KernelGraph one stage after another, in stage
+// order (a topological order, re-checked by KernelGraph::validate()), inline
+// on the calling thread. It is the one graph runner: serving, the `ispb_run`
+// simulate (`run`) and `profile` subcommands and the tests all call run().
 //
-// Sobel's two derivative kernels execute in parallel and the magnitude
-// stage starts the moment both finish; Night's Atrous chain degrades to
-// sequential execution naturally (each stage unblocks the next). Stage
-// results are bit-identical to filters::run_app_reference regardless of
-// schedule: stages only share images through completed dependencies, and
-// each simulated launch is deterministic.
+// Each stage is one kernel launch, and each launch carries its own
+// parallelism: the simulator's block loop and the native backend's row bands
+// both spread over ThreadPool::global() via parallel_for. The executor
+// therefore owns no threads. A second pool running independent stages side
+// by side (Sobel's dx and dy) would only nest parallel_for under it and
+// oversubscribe the same cores; serving already gets its outer parallelism
+// from concurrent requests on the server's workers. Because every stage runs
+// on the caller, the caller's obs::TraceContext and Deadline (both
+// thread-local) cover every stage with no hand-off.
 //
-// Threading: the executor owns a pool sized to the graph's parallelism. It
-// deliberately does NOT run stage bodies on ThreadPool::global() — the
-// simulator's block loop parallelizes over that pool via parallel_for, and
-// parallel_for's wait would self-deadlock if its caller occupied a global
-// worker slot. With concurrency 1 stages run inline on the caller's thread
-// (no pool at all) — the right mode for serving, where parallelism comes
-// from concurrent requests instead.
+// Outputs are bit-identical to filters::run_app_reference: a stage reads only
+// the source or outputs of earlier stages, and each launch is deterministic.
 #pragma once
 
 #include <optional>
@@ -29,11 +29,8 @@ namespace ispb::pipeline {
 
 /// How the executor runs one graph.
 struct ExecutorConfig {
-  /// Device/block/variant/pattern knobs, as for filters::run_app_simulated.
+  /// Device/block/variant/pattern knobs for every stage.
   filters::AppSimConfig sim;
-  /// Max stages in flight: 1 = inline (no pool), 0 = one worker per
-  /// independent root, capped at 8.
-  i32 concurrency = 0;
   /// Compile cache; nullptr = KernelCache::global(). Ignored when
   /// use_cache is false (every stage compiles from scratch — the
   /// cold-compile baseline the benches compare against).
@@ -47,7 +44,7 @@ struct ExecutorConfig {
   // ---- resilience ----------------------------------------------------------
   /// Per-stage retry (the whole compile+launch attempt is the retried
   /// unit). Default: one attempt, i.e. the pre-resilience behavior.
-  resilience::RetryPolicy retry;
+  resilience::RetryPolicy retry{};
   /// Per-kernel circuit breakers. When set, a stage whose specialized
   /// (non-naive) path keeps failing is served by the naive variant — the
   /// runtime generalization of the paper's isp+m static fallback — and the
@@ -58,7 +55,7 @@ struct ExecutorConfig {
   resilience::Clock* clock = nullptr;
 };
 
-/// Per-stage and aggregate outcome; mirrors filters::AppSimResult.
+/// Per-stage and aggregate outcome of one run.
 struct ExecutorResult {
   Image<f32> output;
   f64 total_time_ms = 0.0;  ///< summed modeled stage time
@@ -82,15 +79,16 @@ struct ExecutorResult {
 
 class PipelineExecutor {
  public:
-  explicit PipelineExecutor(ExecutorConfig config = {});
+  explicit PipelineExecutor(ExecutorConfig config = {})
+      : config_(std::move(config)) {}
 
-  /// Runs every stage of `graph` over `source`, honoring the dependency
-  /// structure. Rethrows the first stage failure after in-flight stages
-  /// drain; throws DeadlineExceeded once the calling thread's Deadline
-  /// (common/deadline.hpp) passes. `backend` overrides ExecutorConfig::backend for this run
-  /// (per-request selection in the server); `variant` pins every stage to
-  /// one variant with model selection disabled (admission brownout serves
-  /// kNaive this way).
+  /// Runs every stage of `graph` over `source` in stage order on the calling
+  /// thread. The first failing stage throws and later stages stay unrun;
+  /// throws DeadlineExceeded once the calling thread's Deadline
+  /// (common/deadline.hpp) passes. `backend` overrides
+  /// ExecutorConfig::backend for this run (per-request selection in the
+  /// server); `variant` pins every stage to one variant with model selection
+  /// disabled (admission brownout serves kNaive this way).
   [[nodiscard]] ExecutorResult run(
       const KernelGraph& graph, const Image<f32>& source,
       std::optional<exec::Backend> backend = std::nullopt,

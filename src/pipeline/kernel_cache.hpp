@@ -132,8 +132,9 @@ class KernelCache {
   void set_retry(resilience::RetryPolicy policy,
                  resilience::Clock* clock = nullptr);
 
-  /// Process-wide cache shared by filters::run_app_simulated and the bench
-  /// harness, so identical (app, variant) compiles happen once per process.
+  /// Process-wide cache used by every PipelineExecutor run without its own
+  /// cache (ExecutorConfig::cache == nullptr) and by the bench harness, so
+  /// identical (app, variant, device) compiles happen once per process.
   [[nodiscard]] static KernelCache& global();
 
  private:

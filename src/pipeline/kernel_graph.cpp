@@ -1,30 +1,8 @@
 #include "pipeline/kernel_graph.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace ispb::pipeline {
-
-std::vector<i32> KernelGraph::roots() const {
-  std::vector<i32> out;
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    if (stages[i].deps.empty()) out.push_back(static_cast<i32>(i));
-  }
-  return out;
-}
-
-i32 KernelGraph::depth() const {
-  std::vector<i32> level(stages.size(), 1);
-  i32 max_level = stages.empty() ? 0 : 1;
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    for (i32 dep : stages[i].deps) {
-      level[i] = std::max(level[i], level[static_cast<std::size_t>(dep)] + 1);
-    }
-    max_level = std::max(max_level, level[i]);
-  }
-  return max_level;
-}
 
 void KernelGraph::validate() const {
   if (stages.empty()) throw ContractError("KernelGraph '" + name + "' is empty");
@@ -46,16 +24,6 @@ void KernelGraph::validate() const {
                             " which no earlier stage produces");
       }
     }
-    for (i32 dep : stage.deps) {
-      const bool bound = std::any_of(
-          stage.input_images.begin(), stage.input_images.end(),
-          [dep](i32 img) { return img == dep + 1; });
-      if (dep < 0 || dep >= static_cast<i32>(i) || !bound) {
-        throw ContractError("stage '" + stage.spec.name +
-                            "' lists dep " + std::to_string(dep) +
-                            " that does not match its input bindings");
-      }
-    }
   }
 }
 
@@ -65,18 +33,7 @@ KernelGraph build_graph(const filters::MultiKernelApp& app) {
   graph.name = app.name;
   graph.stages.reserve(app.stages.size());
   for (const auto& stage : app.stages) {
-    KernelGraph::Stage node;
-    node.spec = stage.spec;
-    node.input_images = stage.input_bindings;
-    for (i32 img : stage.input_bindings) {
-      if (img <= 0) continue;  // the source has no producing stage
-      const i32 dep = img - 1;
-      if (std::find(node.deps.begin(), node.deps.end(), dep) ==
-          node.deps.end()) {
-        node.deps.push_back(dep);
-      }
-    }
-    graph.stages.push_back(std::move(node));
+    graph.stages.push_back({stage.spec, stage.input_bindings});
   }
   graph.validate();
   return graph;

@@ -1,15 +1,15 @@
-// KernelGraph: a MultiKernelApp as an explicit DAG of stages.
+// KernelGraph: a MultiKernelApp as a validated list of stages over image ids.
 //
 // filters::MultiKernelApp orders stages linearly and encodes data flow in
 // input_bindings (image 0 is the source, image k > 0 the output of stage
-// k-1). The graph makes the dependencies first-class: each stage lists the
-// stage indices it reads from, so independent branches — Sobel's dx and dy
-// derivative kernels both reading the source — are visible to a scheduler
-// instead of hidden behind the linear order. Night's Atrous chain derives
-// as a pure sequence; Gaussian/Laplace/Bilateral are single nodes.
+// k-1). The graph keeps that form, and the data flow is explicit in each
+// stage's input_images: Sobel's dx and dy kernels both read the source and
+// the magnitude stage reads both outputs; Night's Atrous chain reads one
+// image back each step; Gaussian/Laplace/Bilateral are single stages.
 //
 // Stage indices are a topological order by construction (a stage may only
-// read images produced by earlier stages), which validate() re-checks.
+// read images produced by earlier stages), which validate() re-checks; the
+// executor runs stages in that order.
 #pragma once
 
 #include <string>
@@ -19,13 +19,12 @@
 
 namespace ispb::pipeline {
 
-/// A stage DAG over one source image. Image ids follow the MultiKernelApp
+/// Stages over one source image. Image ids follow the MultiKernelApp
 /// convention: 0 is the source, stage i writes image i + 1.
 struct KernelGraph {
   struct Stage {
     codegen::StencilSpec spec;
     std::vector<i32> input_images;  ///< image ids read, in accessor order
-    std::vector<i32> deps;          ///< producing stage indices, deduplicated
   };
 
   std::string name;
@@ -36,20 +35,12 @@ struct KernelGraph {
     return static_cast<i32>(stages.size()) + 1;
   }
 
-  /// Stages with no producing dependency (they read only the source).
-  [[nodiscard]] std::vector<i32> roots() const;
-
-  /// Number of dependency levels: 1 for a single stage or a pure fan-out,
-  /// stages.size() for a chain. The executor can run one level's stages
-  /// concurrently.
-  [[nodiscard]] i32 depth() const;
-
-  /// Structural checks: nonempty, every input image id in [0, stage image),
-  /// deps consistent with input_images. Throws ContractError on violation.
+  /// Structural checks: nonempty, one bound image per spec input, every
+  /// input image id in [0, stage image). Throws ContractError on violation.
   void validate() const;
 };
 
-/// Derives the DAG from the linear app form.
+/// Builds the graph from the linear app form.
 [[nodiscard]] KernelGraph build_graph(const filters::MultiKernelApp& app);
 
 }  // namespace ispb::pipeline

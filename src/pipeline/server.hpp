@@ -46,9 +46,10 @@
 // device. health() snapshots the per-kernel breakers and the retry /
 // fallback / deadline counters; device_health() the device breakers.
 //
-// Workers execute stages inline (executor concurrency 1) by default:
+// Workers execute a request's stages inline (the executor owns no threads):
 // throughput comes from request-level parallelism, and the simulator's
-// block loop still parallelizes each launch over the global pool.
+// block loop and the native row bands still parallelize each launch over
+// the global pool.
 //
 // Every outcome settles through one path that counts it (ServerStats,
 // per-target and per-tier), records it in the always-on SloWindow and
@@ -182,13 +183,10 @@ struct ServerStats {
   std::vector<TierStats> tiers;      ///< one per admission tier (1 if none)
 };
 
-/// The executor defaults the server wants: stages inline, parallelism from
-/// concurrent requests (see the class comment).
-[[nodiscard]] inline ExecutorConfig serving_executor_config() {
-  ExecutorConfig config;
-  config.concurrency = 1;
-  return config;
-}
+/// The executor config the server starts from. The executor runs stages
+/// inline on the worker, so this is the default config; kept as the one
+/// name serving callers build their executor template from.
+[[nodiscard]] inline ExecutorConfig serving_executor_config() { return {}; }
 
 struct ServerConfig {
   i32 workers = 4;                ///< >= 1

@@ -156,7 +156,6 @@ TEST(ExecutorNative, BitIdenticalToReferenceAcrossAppsPatternsVariants) {
         pipeline::ExecutorConfig cfg;
         cfg.sim.pattern = pattern;
         cfg.sim.variant = variant;
-        cfg.concurrency = 1;
         cfg.cache = &cache;
         cfg.backend = exec::Backend::kNative;
         const pipeline::PipelineExecutor executor(cfg);
@@ -196,7 +195,6 @@ TEST(ExecutorInterpreted, TiledBitIdenticalToReferenceAcrossAppsPatterns) {
       pipeline::ExecutorConfig cfg;
       cfg.sim.pattern = pattern;
       cfg.sim.variant = codegen::Variant::kIspTiled;
-      cfg.concurrency = 1;
       cfg.cache = &cache;
       cfg.backend = exec::Backend::kInterpreted;
       const pipeline::PipelineExecutor executor(cfg);
@@ -227,7 +225,6 @@ TEST(ExecutorNative, DegenerateGeometryServesAllChecksNaive) {
 
   pipeline::ExecutorConfig cfg;
   cfg.sim.variant = codegen::Variant::kIsp;
-  cfg.concurrency = 1;
   cfg.cache = &cache;
   cfg.backend = exec::Backend::kNative;
   const pipeline::PipelineExecutor executor(cfg);
@@ -262,7 +259,6 @@ TEST(ExecutorNative, CompileFaultFallsBackToInterpreted) {
 
   pipeline::ExecutorConfig cfg;
   cfg.sim.variant = codegen::Variant::kIsp;
-  cfg.concurrency = 1;
   cfg.cache = &cache;
   cfg.backend = exec::Backend::kNative;
   cfg.breakers = &breakers;

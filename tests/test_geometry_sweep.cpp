@@ -9,6 +9,7 @@
 #include "filters/filters.hpp"
 #include "image/compare.hpp"
 #include "image/generators.hpp"
+#include "pipeline/executor.hpp"
 
 namespace ispb {
 namespace {
@@ -85,8 +86,9 @@ TEST(AppSimulated, PipelineApiMatchesReference) {
 
   filters::AppSimConfig cfg;
   cfg.variant = codegen::Variant::kIsp;
-  const filters::AppSimResult result =
-      filters::run_app_simulated(app, src, cfg);
+  const pipeline::ExecutorResult result =
+      pipeline::PipelineExecutor(pipeline::ExecutorConfig{.sim = cfg})
+          .run(pipeline::build_graph(app), src);
   EXPECT_EQ(compare(result.output, expect).max_abs, 0.0);
   EXPECT_EQ(result.stages.size(), 3u);
   EXPECT_GT(result.total_time_ms, 0.0);
@@ -97,8 +99,9 @@ TEST(AppSimulated, ModelSelectionKeepsPointOpsNaive) {
   const auto src = make_gradient_image({128, 128});
   filters::AppSimConfig cfg;
   cfg.use_model = true;
-  const filters::AppSimResult result =
-      filters::run_app_simulated(app, src, cfg);
+  const pipeline::ExecutorResult result =
+      pipeline::PipelineExecutor(pipeline::ExecutorConfig{.sim = cfg})
+          .run(pipeline::build_graph(app), src);
   ASSERT_EQ(result.stages.size(), 3u);
   EXPECT_EQ(result.stages[2].kernel, "sobel_magnitude");
   EXPECT_EQ(result.stages[2].variant_used, codegen::Variant::kNaive);

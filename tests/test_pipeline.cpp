@@ -1,6 +1,6 @@
 // Pipeline runtime: kernel cache (single-flight, LRU, metrics), kernel
-// graph derivation, DAG executor equivalence against the CPU reference, and
-// the batched serving front-end (overflow, deadlines, drain-on-shutdown).
+// graph derivation, inline executor equivalence against the CPU reference,
+// and the batched serving front-end (overflow, deadlines, drain-on-shutdown).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 #include "pipeline/kernel_cache.hpp"
 #include "pipeline/kernel_graph.hpp"
 #include "pipeline/server.hpp"
+#include "resilience/fault_injector.hpp"
 
 namespace ispb {
 namespace {
@@ -145,20 +146,20 @@ TEST(KernelGraph, SobelExposesParallelBranches) {
   const pipeline::KernelGraph g = pipeline::build_graph(filters::make_sobel_app());
   ASSERT_EQ(g.stages.size(), 3u);
   g.validate();
-  EXPECT_EQ(g.roots(), (std::vector<i32>{0, 1}));  // dx, dy read the source
-  EXPECT_EQ(g.depth(), 2);
-  EXPECT_EQ(g.stages[2].deps, (std::vector<i32>{0, 1}));
+  // dx and dy both read only the source; the magnitude joins their outputs.
+  EXPECT_EQ(g.stages[0].input_images, (std::vector<i32>{0}));
+  EXPECT_EQ(g.stages[1].input_images, (std::vector<i32>{0}));
   EXPECT_EQ(g.stages[2].input_images, (std::vector<i32>{1, 2}));
+  EXPECT_EQ(g.image_count(), 4);
 }
 
 TEST(KernelGraph, NightIsAPureChain) {
   const pipeline::KernelGraph g = pipeline::build_graph(filters::make_night_app());
   ASSERT_EQ(g.stages.size(), 5u);
   g.validate();
-  EXPECT_EQ(g.roots(), (std::vector<i32>{0}));
-  EXPECT_EQ(g.depth(), 5);
-  for (std::size_t i = 1; i < g.stages.size(); ++i) {
-    EXPECT_EQ(g.stages[i].deps, (std::vector<i32>{static_cast<i32>(i) - 1}));
+  // Stage i reads image i: the source for stage 0, stage i - 1's output after.
+  for (std::size_t i = 0; i < g.stages.size(); ++i) {
+    EXPECT_EQ(g.stages[i].input_images, (std::vector<i32>{static_cast<i32>(i)}));
   }
 }
 
@@ -167,8 +168,8 @@ TEST(KernelGraph, SingleKernelAppsAreSingleNodes) {
     for (const auto& app : filters::all_apps()) {
       if (app.name != name) continue;
       const pipeline::KernelGraph g = pipeline::build_graph(app);
-      EXPECT_EQ(g.stages.size(), 1u) << name;
-      EXPECT_EQ(g.depth(), 1) << name;
+      ASSERT_EQ(g.stages.size(), 1u) << name;
+      EXPECT_EQ(g.stages[0].input_images, (std::vector<i32>{0})) << name;
     }
   }
 }
@@ -181,8 +182,8 @@ TEST(KernelGraph, ValidateRejectsForwardReferences) {
 
 // ---- executor equivalence ---------------------------------------------------
 
-/// The system-level bar: the DAG executor must produce bit-identical output
-/// to the sequential CPU reference for every app and border pattern.
+/// The system-level bar: the executor must produce bit-identical output to
+/// the CPU reference for every app and border pattern.
 TEST(PipelineExecutor, MatchesReferenceForAllAppsAndPatterns) {
   const Size2 size{48, 48};  // >= 2 * radius 8 so Mirror accepts atrous17
   const auto src = make_gradient_image(size);
@@ -198,7 +199,6 @@ TEST(PipelineExecutor, MatchesReferenceForAllAppsAndPatterns) {
       pipeline::ExecutorConfig cfg;
       cfg.sim.pattern = pattern;
       cfg.sim.constant = constant;
-      cfg.concurrency = 2;  // exercise the pool path even for chains
       const pipeline::PipelineExecutor exec(cfg);
       const pipeline::ExecutorResult result = exec.run(graph, src);
 
@@ -211,46 +211,83 @@ TEST(PipelineExecutor, MatchesReferenceForAllAppsAndPatterns) {
   }
 }
 
+// Sobel's two independent branches run inline, one after the other, and
+// land bit-identical on the reference, reported in graph stage order.
 TEST(PipelineExecutor, ConcurrentSobelMatchesInline) {
   const Size2 size{64, 48};
+  const auto app = filters::make_sobel_app();
   const auto src = make_noise_image(size, 11);
-  const auto graph = pipeline::build_graph(filters::make_sobel_app());
+  const auto graph = pipeline::build_graph(app);
 
-  pipeline::ExecutorConfig inline_cfg;
-  inline_cfg.concurrency = 1;
-  pipeline::ExecutorConfig wide_cfg;
-  wide_cfg.concurrency = 4;
-
-  const auto inline_out =
-      pipeline::PipelineExecutor(inline_cfg).run(graph, src);
-  const auto wide_out = pipeline::PipelineExecutor(wide_cfg).run(graph, src);
-  EXPECT_EQ(compare(inline_out.output, wide_out.output).max_abs, 0.0);
-  for (const auto& stage : wide_out.stages) {
-    EXPECT_GT(stage.regs_per_thread, 0) << stage.kernel;
+  const auto out = pipeline::PipelineExecutor().run(graph, src);
+  const Image<f32> expect =
+      filters::run_app_reference(app, src, BorderPattern::kClamp);
+  EXPECT_EQ(compare(out.output, expect).max_abs, 0.0);
+  ASSERT_EQ(out.stages.size(), 3u);
+  for (std::size_t i = 0; i < out.stages.size(); ++i) {
+    EXPECT_EQ(out.stages[i].kernel, graph.stages[i].spec.name);
+    EXPECT_GT(out.stages[i].regs_per_thread, 0) << out.stages[i].kernel;
   }
 }
 
-// A failing branch must propagate as an exception, not hang the scheduler:
-// atrous17 (radius 8) under Mirror on a 6x6 image fails validation while the
-// parallel gaussian branch succeeds; the join stage must settle unrun.
+// The executor owns no threads: every stage of a run — both Sobel roots
+// included — launches on the thread that called run().
+TEST(PipelineExecutor, RunsStagesOnTheCallingThread) {
+  const auto graph = pipeline::build_graph(filters::make_sobel_app());
+  const auto src = make_gradient_image({32, 32});
+
+  obs::TraceSession::start();
+  {
+    obs::ScopedSpan caller("test.caller", "test");
+    (void)pipeline::PipelineExecutor(pipeline::ExecutorConfig{}).run(graph,
+                                                                      src);
+  }
+  const std::vector<obs::TraceEvent> events = obs::TraceSession::stop();
+
+  const auto caller = std::find_if(
+      events.begin(), events.end(),
+      [](const obs::TraceEvent& ev) { return ev.name == "test.caller"; });
+  ASSERT_NE(caller, events.end());
+  int launches = 0;
+  for (const obs::TraceEvent& ev : events) {
+    if (ev.name.rfind("sim.launch", 0) != 0) continue;
+    ++launches;
+    EXPECT_EQ(ev.tid, caller->tid) << ev.name << " left the calling thread";
+  }
+  EXPECT_EQ(launches, 3);  // dx, dy, magnitude
+}
+
+// A failing stage propagates as an exception and later stages stay unrun:
+// atrous17 (radius 8) under Mirror on a 6x6 image fails, so neither the
+// independent gaussian stage nor the join after it is ever attempted.
 TEST(PipelineExecutor, BranchFailurePropagatesWithoutDeadlock) {
   pipeline::KernelGraph g;
   g.name = "failing-branch";
-  g.stages.push_back({filters::atrous_spec(17), {0}, {}});
-  g.stages.push_back({filters::gaussian_spec(3), {0}, {}});
-  g.stages.push_back({filters::sobel_magnitude_spec(), {1, 2}, {0, 1}});
+  g.stages.push_back({filters::atrous_spec(17), {0}});
+  g.stages.push_back({filters::gaussian_spec(3), {0}});
+  g.stages.push_back({filters::sobel_magnitude_spec(), {1, 2}});
+
+  // An empty plan fires nothing but counts every stage attempt.
+  resilience::FaultInjector injector(resilience::FaultPlan{});
+  const resilience::FaultInjector::ScopedInstall install(injector);
 
   const auto src = make_gradient_image({6, 6});
   pipeline::ExecutorConfig cfg;
   cfg.sim.pattern = BorderPattern::kMirror;
-  cfg.concurrency = 2;
   const pipeline::PipelineExecutor exec(cfg);
   EXPECT_ANY_THROW((void)exec.run(g, src));
+
+  const auto counters = injector.counters();
+  const auto stage = std::find_if(
+      counters.begin(), counters.end(),
+      [](const auto& c) { return c.point == "executor.stage"; });
+  ASSERT_NE(stage, counters.end());
+  EXPECT_EQ(stage->evaluated, 1u) << "a stage ran after the failing one";
 }
 
-// ---- run_app_simulated migration -------------------------------------------
+// ---- executor on the global kernel cache -----------------------------------
 
-// Satellite: filters::run_app_simulated compiles through the process-wide
+// An executor with no cache of its own compiles through the process-wide
 // KernelCache — a second identical run compiles nothing, observable purely
 // via cache-counter deltas.
 TEST(RunAppSimulated, ReusesGlobalKernelCache) {
@@ -263,13 +300,16 @@ TEST(RunAppSimulated, ReusesGlobalKernelCache) {
   cfg.pattern = BorderPattern::kConstant;
   cfg.constant = 123.5f;
 
+  const pipeline::PipelineExecutor exec(pipeline::ExecutorConfig{.sim = cfg});
+  const pipeline::KernelGraph graph = pipeline::build_graph(app);
+
   pipeline::KernelCache& cache = pipeline::KernelCache::global();
   const auto before = cache.stats();
-  (void)filters::run_app_simulated(app, src, cfg);
+  (void)exec.run(graph, src);
   const auto after_first = cache.stats();
   EXPECT_EQ(after_first.misses - before.misses, 3u);  // dx, dy, magnitude
 
-  (void)filters::run_app_simulated(app, src, cfg);
+  (void)exec.run(graph, src);
   const auto after_second = cache.stats();
   EXPECT_EQ(after_second.misses, after_first.misses) << "second run recompiled";
   EXPECT_EQ(after_second.hits - after_first.hits, 3u);
@@ -483,10 +523,10 @@ TEST(PipelineServer, LatencyMemoryBoundedInRequestCount) {
 }
 
 TEST(PipelineServer, TracePropagationAcrossWorkers) {
-  // Multi-worker serve with stage-level executor concurrency: spans for one
-  // request are emitted on the submitting thread, a server worker, and
-  // executor pool threads. Every span must still link into exactly one tree
-  // per request.
+  // Multi-worker serve: a request is submitted on this thread and executed
+  // by whichever server worker dequeues it. Every span must still link into
+  // exactly one tree per request, and every stage launch must stay on the
+  // worker that runs the request's pipeline.execute span.
   const auto graph = std::make_shared<const pipeline::KernelGraph>(
       pipeline::build_graph(filters::make_sobel_app()));  // parallel branches
   const auto src =
@@ -498,7 +538,6 @@ TEST(PipelineServer, TracePropagationAcrossWorkers) {
     pipeline::ServerConfig cfg;
     cfg.workers = 3;
     cfg.executor.sim.sampled = true;
-    cfg.executor.concurrency = 2;  // stages hop to the shared thread pool
     pipeline::PipelineServer server(cfg);
     std::vector<std::future<pipeline::ServeResponse>> futures;
     for (int i = 0; i < kRequests; ++i) {
@@ -513,7 +552,6 @@ TEST(PipelineServer, TracePropagationAcrossWorkers) {
 
   const std::vector<u64> ids = obs::request_ids(events);
   ASSERT_EQ(ids.size(), static_cast<std::size_t>(kRequests));
-  u64 spans_across_threads = 0;
   for (u64 id : ids) {
     const obs::RequestBreakdown b = obs::request_breakdown(events, id);
     EXPECT_TRUE(b.has_root) << "request " << id << " lost its root span";
@@ -521,22 +559,24 @@ TEST(PipelineServer, TracePropagationAcrossWorkers) {
         << "request " << id << " has spans not linked to its root";
     EXPECT_GE(b.spans, 3);  // root + queue_wait + at least one exec span
     EXPECT_GT(b.total_us, 0.0);
-    // Exactly one root per request.
+    // Exactly one root per request, and one executing thread.
     int roots = 0;
-    std::vector<u32> tids;
+    std::vector<u32> execute_tids;
+    std::vector<u32> launch_tids;
     for (const obs::TraceEvent& ev : events) {
       if (ev.request_id != id) continue;
       if (ev.parent_span_id == 0) ++roots;
-      tids.push_back(ev.tid);
+      if (ev.name == "pipeline.execute") execute_tids.push_back(ev.tid);
+      if (ev.name.rfind("sim.launch", 0) == 0) launch_tids.push_back(ev.tid);
     }
     EXPECT_EQ(roots, 1);
-    std::sort(tids.begin(), tids.end());
-    tids.erase(std::unique(tids.begin(), tids.end()), tids.end());
-    if (tids.size() > 1) ++spans_across_threads;
+    ASSERT_EQ(execute_tids.size(), 1u) << "request " << id;
+    EXPECT_EQ(launch_tids.size(), 3u) << "request " << id;
+    for (u32 tid : launch_tids) {
+      EXPECT_EQ(tid, execute_tids[0])
+          << "request " << id << " launched a stage off its worker";
+    }
   }
-  // With 3 workers and pool-executed stages, request trees must span
-  // threads (that is the propagation being tested).
-  EXPECT_GT(spans_across_threads, 0u);
 }
 
 }  // namespace

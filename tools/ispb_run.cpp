@@ -428,7 +428,7 @@ int run_analyze_cost(const Cli& cli) {
 
         // Stage chain: addresses never depend on image data, so a zero
         // source drives the launches; intermediates chain like the real
-        // pipeline so pitches match run_app_simulated.
+        // pipeline so pitches match a PipelineExecutor run.
         std::vector<Image<f32>> chain;
         chain.reserve(app.stages.size() + 1);
         chain.emplace_back(image);
@@ -819,14 +819,15 @@ int run_profile(int argc, char** argv) {
   // assembled, so report generation never observes itself.
   obs::MetricsRegistry registry;
   std::vector<obs::TraceEvent> events;
-  filters::AppSimResult result;
+  pipeline::ExecutorResult result;
   {
     obs::MetricsRegistry::ScopedInstall install(registry);
     obs::TraceSession::start();
-    // Profiling is pinned to the interpreted engine: per-region counters,
-    // occupancy and modeled time only exist there (the native backend
-    // reports wall time alone).
-    result = filters::run_app_simulated(app, source, cfg);
+    // Profiling stays on the executor's default interpreted engine:
+    // per-region counters, occupancy and modeled time only exist there (the
+    // native backend reports wall time alone).
+    result = pipeline::PipelineExecutor(pipeline::ExecutorConfig{.sim = cfg})
+                 .run(pipeline::build_graph(app), source);
     events = obs::TraceSession::stop();
   }
 
@@ -1054,7 +1055,6 @@ int run_serve(int argc, char** argv) {
   server_cfg.workers = concurrency * static_cast<i32>(targets);
   server_cfg.queue_capacity = queue_capacity * targets;
   server_cfg.executor.sim = cfg;
-  server_cfg.executor.concurrency = 1;  // parallelism across requests
   server_cfg.executor.cache = &cache;
   server_cfg.executor.backend = backend;
   server_cfg.devices = devices;
@@ -1238,7 +1238,6 @@ pipeline::ServerConfig loadtest_server_config(const LoadSetup& setup,
   cfg.workers = setup.workers * static_cast<i32>(targets);
   cfg.queue_capacity = setup.queue_capacity * targets;
   cfg.executor.sim = slice.sim;  // the device is replaced per target
-  cfg.executor.concurrency = 1;  // parallelism across requests
   cfg.executor.cache = setup.cache;
   cfg.executor.backend = setup.backend;
   cfg.devices = setup.devices;
@@ -2408,8 +2407,9 @@ int run_simulate(int argc, char** argv) {
             << ", " << to_string(cfg.pattern) << ", variant "
             << cli.get_string("variant", "isp+m") << "\n\n";
 
-  const filters::AppSimResult result =
-      filters::run_app_simulated(app, source, cfg);
+  const pipeline::ExecutorResult result =
+      pipeline::PipelineExecutor(pipeline::ExecutorConfig{.sim = cfg})
+          .run(pipeline::build_graph(app), source);
 
   AsciiTable table("per-stage results");
   table.set_header({"stage", "variant", "time ms", "occupancy",
