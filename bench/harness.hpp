@@ -29,13 +29,13 @@ class BenchJson {
   explicit BenchJson(std::string bench) : bench_(std::move(bench)) {}
 
   struct Row {
-    std::string device;
-    std::string app;
-    std::string pattern;
-    std::string variant;
-    std::string backend;  ///< execution engine ("interp"/"native"), "" = n/a
-    std::string metric;  ///< what `value` measures, e.g. "speedup_isp"
-    i32 size = 0;        ///< image extent, 0 when not applicable
+    std::string device{};
+    std::string app{};
+    std::string pattern{};
+    std::string variant{};
+    std::string backend{};  ///< execution engine ("interp"/"native"), "" = n/a
+    std::string metric{};   ///< what `value` measures, e.g. "speedup_isp"
+    i32 size = 0;           ///< image extent, 0 when not applicable
     f64 value = 0.0;
   };
 

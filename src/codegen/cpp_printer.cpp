@@ -255,7 +255,13 @@ void emit_dag(std::ostringstream& os, const Dialect& d,
               const std::string& pad, const TileDims* tile = nullptr) {
   int temp = 0;
   i32 id = 0;
-  const auto name = [](i32 node) { return "t" + std::to_string(node); };
+  // Appended rather than `"t" + ...`: GCC 12 reports a false -Wrestrict on
+  // the inlined operator+ here.
+  const auto name = [](i32 node) {
+    std::string s = "t";
+    s += std::to_string(node);
+    return s;
+  };
   for (const Node& n : spec.nodes) {
     const std::string expr =
         n.kind == NodeKind::kRead

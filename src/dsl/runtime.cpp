@@ -102,9 +102,18 @@ sim::ParamMap build_params(const ir::Program& prog, Size2 image,
   return params;
 }
 
+bool needs_naive_fallback(const CompiledKernel& kernel, Size2 image,
+                          BlockSize block) {
+  if (kernel.options.variant == codegen::Variant::kNaive) return false;
+  const BlockBounds bounds =
+      compute_block_bounds(image, block, kernel.spec.window());
+  return bounds.bh_l > bounds.bh_r || bounds.bh_t > bounds.bh_b;
+}
+
 SimRun launch_on_sim(const sim::DeviceSpec& dev, const CompiledKernel& kernel,
                      std::span<const Image<f32>* const> inputs,
-                     Image<f32>& output, BlockSize block, bool sampled) {
+                     Image<f32>& output, BlockSize block, bool sampled,
+                     const CompiledKernel* naive_twin) {
   validate_geometry(kernel.spec, kernel.options.pattern, inputs,
                     output.size());
   resilience::fault_point("launcher.launch", kernel.program.name);
@@ -129,18 +138,17 @@ SimRun launch_on_sim(const sim::DeviceSpec& dev, const CompiledKernel& kernel,
         " block, launched with " + std::to_string(block.tx) + "x" +
         std::to_string(block.ty));
   }
-  if (kernel.options.variant != codegen::Variant::kNaive) {
-    const BlockBounds bounds = compute_block_bounds(image, block, window);
-    const bool degenerate = bounds.bh_l > bounds.bh_r ||
-                            bounds.bh_t > bounds.bh_b;
-    if (degenerate) {
+  if (needs_naive_fallback(kernel, image, block)) {
+    if (naive_twin == nullptr) {
       codegen::CodegenOptions naive_opt = kernel.options;
       naive_opt.variant = codegen::Variant::kNaive;
       naive_fallback = compile_kernel(kernel.spec, naive_opt);
-      to_run = &naive_fallback;
-      run.variant_used = codegen::Variant::kNaive;
-      run.degenerate_fallback = true;
+      naive_twin = &naive_fallback;
     }
+    ISPB_EXPECTS(naive_twin->options.variant == codegen::Variant::kNaive);
+    to_run = naive_twin;
+    run.variant_used = codegen::Variant::kNaive;
+    run.degenerate_fallback = true;
   }
 
   // Bind buffers: inputs read-only, output writable.

@@ -32,15 +32,24 @@ struct SimRun {
   bool degenerate_fallback = false;
 };
 
+/// True when `kernel` is specialized (not naive) and `image` tiled by
+/// `block` gives a degenerate partition, so launch_on_sim runs the naive
+/// twin instead.
+[[nodiscard]] bool needs_naive_fallback(const CompiledKernel& kernel,
+                                        Size2 image, BlockSize block);
+
 /// Launches `kernel` over `output.size()` on the simulator. Inputs must
 /// match the output size. With `sampled`, only representative blocks per
 /// region execute and counts/timing are extrapolated (outputs incomplete).
 /// Validates pattern preconditions (Mirror needs radius <= image extent) and
-/// falls back to a naive kernel when the ISP partition would be degenerate.
+/// falls back to a naive kernel when the ISP partition would be degenerate:
+/// `naive_twin` when given (the same spec and options with variant kNaive),
+/// else one compiled here.
 SimRun launch_on_sim(const sim::DeviceSpec& dev, const CompiledKernel& kernel,
                      std::span<const Image<f32>* const> inputs,
                      Image<f32>& output, BlockSize block,
-                     bool sampled = false);
+                     bool sampled = false,
+                     const CompiledKernel* naive_twin = nullptr);
 
 /// Outcome of a separate-kernels-per-region execution (the alternative the
 /// paper rejects in Section III-C: one launch per region instead of one fat

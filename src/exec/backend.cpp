@@ -59,14 +59,22 @@ BackendRun InterpretedBackend::run(const codegen::StencilSpec& spec,
                                    Image<f32>& output, BlockSize block,
                                    bool sampled) {
   pipeline::KernelCache::KernelPtr kernel;
+  pipeline::KernelCache::KernelPtr naive_twin;
   if (cache_ != nullptr) {
     kernel = cache_->get_or_compile(spec, options, device.name);
+    // A degenerate partition runs the naive twin: fetch it under the same
+    // key with variant kNaive so tiny images do not recompile per launch.
+    if (dsl::needs_naive_fallback(*kernel, output.size(), block)) {
+      codegen::CodegenOptions naive_options = options;
+      naive_options.variant = codegen::Variant::kNaive;
+      naive_twin = cache_->get_or_compile(spec, naive_options, device.name);
+    }
   } else {
     kernel = std::make_shared<const dsl::CompiledKernel>(
         dsl::compile_kernel(spec, options));
   }
-  const dsl::SimRun sim_run =
-      dsl::launch_on_sim(device, *kernel, inputs, output, block, sampled);
+  const dsl::SimRun sim_run = dsl::launch_on_sim(
+      device, *kernel, inputs, output, block, sampled, naive_twin.get());
   BackendRun run;
   run.stats = sim_run.stats;
   run.variant_used = sim_run.variant_used;

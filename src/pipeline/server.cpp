@@ -130,8 +130,7 @@ std::string_view to_string(ServeStatus s) {
 
 PipelineServer::PipelineServer(ServerConfig config)
     : config_(std::move(config)),
-      paused_(config_.start_paused),
-      slo_(config_.slo) {
+      paused_(config_.start_paused) {
   ISPB_EXPECTS(config_.workers >= 1);
   if (config_.admission) {
     const AdmissionConfig& a = *config_.admission;
@@ -270,10 +269,6 @@ ServerStats PipelineServer::stats() const {
     out.devices[i].quarantines = b.trips;
   }
   return out;
-}
-
-obs::SloSnapshot PipelineServer::slo_snapshot() const {
-  return slo_.snapshot(obs::steady_now_ms());
 }
 
 resilience::HealthState PipelineServer::health() const {
@@ -533,13 +528,6 @@ void PipelineServer::finalize(Item item, ServeResponse response,
         break;
     }
   }
-  const obs::SloOutcome outcome =
-      response.status == ServeStatus::kOk ? obs::SloOutcome::kOk
-      : response.status == ServeStatus::kDeadlineExpired
-          ? obs::SloOutcome::kDeadlineMiss
-      : response.status == ServeStatus::kError ? obs::SloOutcome::kError
-                                               : obs::SloOutcome::kRejected;
-  slo_.record(outcome, response.total_ms, obs::steady_now_ms());
   if (obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();
       reg != nullptr) {
     reg->add("pipeline.server.requests", 1.0,
@@ -549,17 +537,6 @@ void PipelineServer::finalize(Item item, ServeResponse response,
       reg->observe("pipeline.server.queue_ms", response.queue_ms);
     }
     if (deadline_cut) reg->add("resilience.watchdog.expired", 1.0);
-  }
-  if (deadline_cut && config_.flight_recorder != nullptr) {
-    // Crash-dump breadcrumb: what was cut, how long it had run, and the
-    // window state at the moment of the cut.
-    obs::Json frame = obs::Json::object();
-    frame["graph"] = item.request.graph->name;
-    frame["queue_ms"] = response.queue_ms;
-    frame["exec_ms"] = response.exec_ms;
-    frame["deadline_ms"] = item.request.deadline_ms;
-    frame["slo"] = slo_.snapshot(obs::steady_now_ms()).to_json();
-    config_.flight_recorder->note("watchdog_cut", std::move(frame));
   }
   if (item.request_id != 0) {
     obs::record_span("pipeline.server.request.root", "pipeline",

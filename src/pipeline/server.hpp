@@ -52,9 +52,9 @@
 // the global pool.
 //
 // Every outcome settles through one path that counts it (ServerStats,
-// per-target and per-tier), records it in the always-on SloWindow and
-// publishes it to the installed obs::MetricsRegistry. Latency sketches are
-// bounded obs::StreamingHistograms (O(1) memory in request count).
+// per-target and per-tier) and publishes it to the installed
+// obs::MetricsRegistry. Latency sketches are bounded
+// obs::StreamingHistograms (O(1) memory in request count).
 //
 // Tracing: when an obs::TraceSession is active, every request gets one
 // request id at submit; the dequeuing worker records the queue-wait span
@@ -78,7 +78,6 @@
 
 #include "common/deadline.hpp"
 #include "obs/histogram.hpp"
-#include "obs/slo.hpp"
 #include "pipeline/admission.hpp"
 #include "pipeline/executor.hpp"
 #include "resilience/health.hpp"
@@ -208,12 +207,6 @@ struct ServerConfig {
   /// nullptr = wall clock. Latency accounting and deadlines always use
   /// steady_clock.
   resilience::Clock* clock = nullptr;
-  /// Sliding-window shape for slo_snapshot().
-  obs::SloConfig slo;
-  /// Optional crash-dump sink: a "watchdog_cut" frame (graph name +
-  /// latency + an SLO snapshot) is noted every time a request's deadline
-  /// cuts off its execution. Not owned; must outlive the server.
-  obs::FlightRecorder* flight_recorder = nullptr;
   /// Execution targets, one per device, each with a device breaker.
   /// Empty = one target, executor.sim.device, with no device breaker.
   std::vector<sim::DeviceSpec> devices;
@@ -246,10 +239,6 @@ class PipelineServer {
   void shutdown();
 
   [[nodiscard]] ServerStats stats() const;
-
-  /// Sliding-window SLO view: throughput, p50/p90/p99, error / rejection /
-  /// deadline-miss rates over the configured window ending now.
-  [[nodiscard]] obs::SloSnapshot slo_snapshot() const;
 
   /// Resilience snapshot: every target's per-kernel breakers, retry /
   /// fallback counters, queued and mid-execution deadline expiries.
@@ -309,7 +298,6 @@ class PipelineServer {
   bool accepting_ = true;
   bool draining_ = false;
   ServerStats stats_;
-  obs::SloWindow slo_;  ///< own lock; recorded outside mu_
   u64 retries_ = 0;    ///< stage attempts beyond the first (health)
   u64 fallbacks_ = 0;  ///< requests with any stage served by fallback
   std::vector<std::thread> workers_;

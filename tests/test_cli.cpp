@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "obs/json.hpp"
 
@@ -123,30 +124,6 @@ TEST(IspbRunCli, ChaosEmitsJsonReport) {
   }
 }
 
-TEST(IspbRunCli, LoadtestQuickWritesSchemaValidArtifact) {
-  const std::string path = ::testing::TempDir() + "ispb_loadtest_smoke.json";
-  const CmdResult r = run_cmd(
-      "loadtest --quick --tiers=0.5 --duration-ms=150 --json=" + path);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("loadtest tiers"), std::string::npos) << r.output;
-  std::string artifact;
-  {
-    FILE* f = fopen(path.c_str(), "r");
-    ASSERT_NE(f, nullptr) << "artifact not written to " << path;
-    char buf[256];
-    while (fgets(buf, sizeof(buf), f) != nullptr) artifact += buf;
-    fclose(f);
-    remove(path.c_str());
-  }
-  for (const char* field :
-       {"\"bench\": \"loadtest\"", "\"schema_version\"", "\"capacity_rps\"",
-        "\"tiers\"", "\"throughput_rps\"", "\"rejection_rate\"",
-        "\"obs_overhead\"", "\"critical_path\"", "\"slo_timeline\""}) {
-    EXPECT_NE(artifact.find(field), std::string::npos)
-        << field << "\n" << artifact;
-  }
-}
-
 TEST(IspbRunCli, ServeEmitsJsonReport) {
   const CmdResult r = run_cmd(
       "serve --requests=4 --concurrency=2 --size=32 --sampled --json");
@@ -169,8 +146,16 @@ TEST(IspbRunCli, ServeWithoutDevicesReportsOneTarget) {
   const ispb::obs::Json* devices = report.find("devices");
   ASSERT_TRUE(devices != nullptr && devices->is_array()) << r.output;
   ASSERT_EQ(devices->size(), 1u) << r.output;
-  EXPECT_EQ(devices->items()[0].find("device")->as_string(), "RTX2080");
-  EXPECT_EQ(devices->items()[0].find("routed")->as_int(), 4);
+  const ispb::obs::Json& target = devices->items()[0];
+  EXPECT_EQ(target.find("device")->as_string(), "RTX2080");
+  EXPECT_EQ(target.find("routed")->as_int(), 4);
+  // Exactly the per-target counters, in order: no always-zero placeholder.
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : target.members()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"device", "routed", "completed",
+                                            "errors", "probes",
+                                            "quarantines"}))
+      << r.output;
   ASSERT_NE(report.find("admission"), nullptr) << r.output;
   EXPECT_EQ(report.find("admission")->size(), 1u) << r.output;
 }
@@ -178,7 +163,6 @@ TEST(IspbRunCli, ServeWithoutDevicesReportsOneTarget) {
 TEST(IspbRunCli, UnknownFleetDeviceFailsAcrossSubcommands) {
   for (const char* cmd :
        {"serve --devices=gtx680,tpu9 --requests=1 --size=32",
-        "loadtest --quick --devices=tpu9",
         "chaos --devices=gtx680,tpu9 --schedules=1"}) {
     const CmdResult r = run_cmd(cmd);
     EXPECT_EQ(r.exit_code, 1) << cmd << "\n" << r.output;

@@ -1,14 +1,15 @@
 // Multi-device serving on the one server: admission ladder table,
 // placement across targets with bit-identity, failover off a killed device
 // (one trace tree per request), half-open probe recovery after a flap and
-// after a deadline-cut probe, shed/brownout/reject degradation, pinned
-// routing, no worker stranded on an idle target, and the fleet name
-// mapping.
+// after a deadline-cut probe, shed/brownout/reject degradation, the
+// overload invariants under a burst past saturation, pinned routing, no
+// worker stranded on an idle target, and the fleet name mapping.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "fleet/fleet_server.hpp"
 #include "image/compare.hpp"
 #include "image/generators.hpp"
+#include "pipeline/kernel_cache.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/kernel_graph.hpp"
 #include "resilience/clock.hpp"
@@ -318,6 +320,78 @@ TEST(FleetServer, ShedsBrownsOutAndRejectsUnderLoad) {
   EXPECT_EQ(stats.tiers[1].shed, 1u);
   EXPECT_EQ(stats.tiers[0].browned_out, 4u);
   EXPECT_EQ(stats.tiers[0].completed, 14u);
+}
+
+// The overload invariants, on a fixed burst past reject_start: tier 0 is
+// never shed, the ladder absorbs part of the burst, and every admitted
+// tier-0 request that completes does so within its deadline (+10% for the
+// histogram's bucket error). A 10 ms wall-clock delay per stage makes the
+// 19 admitted requests outlast the 30 ms deadline on 4 workers, so the
+// deadline cuts the tail of the queue instead of serving it late.
+TEST(FleetServer, OverloadBurstNeverShedsTierZeroOrServesItLate) {
+  const auto app = filters::make_gaussian_app();
+  const auto graph = make_graph(app);
+  const auto src = make_source(16);
+  constexpr f64 kDeadlineMs = 30.0;
+
+  pipeline::KernelCache cache;
+  pipeline::ServerConfig cfg = two_device_config();
+  cfg.queue_capacity = 16;  // capacity 20: reject_start 0.95 at 19 queued
+  cfg.executor.cache = &cache;
+  {
+    // Compile the full and the brownout (naive) kernels for both devices
+    // first, so the burst measures queueing, not compilation.
+    pipeline::PipelineServer warm(cfg);
+    for (const char* device : {"GTX680", "RTX2080"}) {
+      for (const std::optional<codegen::Variant> variant :
+           {std::optional<codegen::Variant>{},
+            std::optional<codegen::Variant>{codegen::Variant::kNaive}}) {
+        pipeline::ServeRequest req = make_request(graph, src);
+        req.pin_device = device;
+        req.variant = variant;
+        ASSERT_EQ(warm.submit(req).get().status, pipeline::ServeStatus::kOk);
+      }
+    }
+  }
+
+  resilience::FaultPlan plan;
+  plan.rules.push_back({"executor.stage", resilience::FaultKind::kDelay, "",
+                        1.0, 0, /*delay_ms=*/10});
+  resilience::FaultInjector injector(plan);  // SystemClock: real sleep
+  resilience::FaultInjector::ScopedInstall install(injector);
+
+  cfg.start_paused = true;  // the whole burst queues before any runs
+  pipeline::PipelineServer server(cfg);
+  std::vector<std::future<pipeline::ServeResponse>> futures;
+  for (u32 i = 0; i < 36; ++i) {
+    pipeline::ServeRequest req = make_request(graph, src, i % 3);
+    req.deadline_ms = kDeadlineMs;
+    futures.push_back(server.submit(std::move(req)));
+  }
+  server.resume();
+  const Image<f32> expect =
+      filters::run_app_reference(app, *src, BorderPattern::kClamp);
+  for (auto& f : futures) {
+    const pipeline::ServeResponse resp = f.get();
+    if (resp.status != pipeline::ServeStatus::kOk) continue;
+    EXPECT_EQ(compare(resp.output, expect).max_abs, 0.0);
+  }
+  server.shutdown();
+
+  const pipeline::ServerStats stats = server.stats();
+  ASSERT_EQ(stats.tiers.size(), 3u);
+  const pipeline::TierStats& tier0 = stats.tiers[0];
+  EXPECT_EQ(tier0.shed, 0u) << "tier 0 is never shed";
+  u64 browned_out = 0;
+  for (const pipeline::TierStats& t : stats.tiers) browned_out += t.browned_out;
+  EXPECT_GT(stats.shed + stats.rejected + browned_out, 0u);
+  EXPECT_GT(stats.shed, 0u);
+  EXPECT_GT(stats.rejected, 0u);
+  EXPECT_GT(stats.deadline_expired, 0u) << "the burst never met its deadline";
+  ASSERT_GT(tier0.completed, 0u);
+  const std::optional<f64> p99 = tier0.latency_ms.percentile(99.0);
+  ASSERT_TRUE(p99.has_value());
+  EXPECT_LE(*p99, kDeadlineMs * 1.1);
 }
 
 // ---- pinned routing ---------------------------------------------------------

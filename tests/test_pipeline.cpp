@@ -307,12 +307,53 @@ TEST(RunAppSimulated, ReusesGlobalKernelCache) {
   const auto before = cache.stats();
   (void)exec.run(graph, src);
   const auto after_first = cache.stats();
-  EXPECT_EQ(after_first.misses - before.misses, 3u);  // dx, dy, magnitude
+  // dx, dy, magnitude, plus the naive twins of dx and dy: one 32-wide block
+  // spans the image, so their ISP partition is degenerate.
+  EXPECT_EQ(after_first.misses - before.misses, 5u);
 
   (void)exec.run(graph, src);
   const auto after_second = cache.stats();
   EXPECT_EQ(after_second.misses, after_first.misses) << "second run recompiled";
-  EXPECT_EQ(after_second.hits - after_first.hits, 3u);
+  EXPECT_EQ(after_second.hits - after_first.hits, 5u);
+}
+
+// A 6x6 image is narrower than one 32x4 block, so the ISP partition is
+// degenerate and every launch runs the naive twin. The twin comes from the
+// cache under the ISP kernel's key with variant kNaive: the first run fills
+// both entries, the second compiles nothing and gives the same pixels.
+TEST(PipelineExecutor, DegenerateFallbackFetchesNaiveTwinFromCache) {
+  const auto app = filters::make_gaussian_app();
+  const auto graph = pipeline::build_graph(app);
+  const auto src = make_noise_image({6, 6}, 5);
+  pipeline::KernelCache cache;
+  pipeline::ExecutorConfig cfg;
+  cfg.sim.variant = Variant::kIsp;
+  cfg.cache = &cache;
+  const pipeline::PipelineExecutor exec(cfg);
+
+  const pipeline::ExecutorResult first = exec.run(graph, src);
+  const u64 misses = cache.stats().misses;
+  EXPECT_EQ(misses, 2u);  // the ISP kernel and its naive twin
+  const pipeline::ExecutorResult second = exec.run(graph, src);
+  EXPECT_EQ(cache.stats().misses, misses) << "second run recompiled";
+  EXPECT_EQ(compare(first.output, second.output).max_abs, 0.0);
+  EXPECT_EQ(compare(second.output, filters::run_app_reference(
+                                       app, src, BorderPattern::kClamp))
+                .max_abs,
+            0.0);
+  ASSERT_EQ(second.stages.size(), 1u);
+  EXPECT_EQ(second.stages[0].variant_used, Variant::kNaive);
+
+  // The backend under the executor reports the fallback as degenerate.
+  Image<f32> out(src.size());
+  const Image<f32>* inputs[] = {&src};
+  const exec::BackendRun run = exec::InterpretedBackend(&cache).run(
+      graph.stages[0].spec, opts(Variant::kIsp), cfg.sim.device, inputs, out,
+      cfg.sim.block, false);
+  EXPECT_TRUE(run.degenerate_fallback);
+  EXPECT_EQ(run.variant_used, Variant::kNaive);
+  EXPECT_EQ(cache.stats().misses, misses);
+  EXPECT_EQ(compare(out, second.output).max_abs, 0.0);
 }
 
 // ---- server -----------------------------------------------------------------

@@ -54,23 +54,8 @@
 //              (modeled counters). --devices gives the server one execution
 //              target per device, with placement, tiered admission and
 //              health-checked failover; without it, one target (--device).
-//
-//   loadtest   open-loop Poisson load generator against the multi-device
-//              server: calibrate its closed-loop capacity,
-//              then drive it at three load tiers (below / near / above
-//              saturation) across an apps x patterns matrix with requests
-//              spread over --shed-tiers priority tiers, measure sustained
-//              throughput, latency percentiles, shed/brownout/rejection
-//              behavior per admission tier and placement per device, re-run
-//              the top tier with tracing + metrics + the SLO exporter
-//              enabled to measure observability overhead, and write the
-//              BENCH_serve.json perf artifact (schema v2):
-//
-//     ispb_run loadtest [--apps=gaussian,sobel] [--patterns=clamp,mirror]
-//              [--devices=gtx680,rtx2080] [--shed-tiers=3] [--size=128]
-//              [--workers=4] [--queue=128] [--duration-ms=1500]
-//              [--tiers=0.5,0.9,1.5] [--deadline-ms=0] [--backend=native]
-//              [--seed=7] [--full] [--quick] [--json=BENCH_serve.json]
+//              serve measures one closed batch; sustained open-loop load is
+//              measured by the benchmark in perfbench/ (see README).
 //
 //   chaos      resilience harness: run N seeded fault schedules (deterministic
 //              FaultPlans over compile/cache/executor/server/launcher fault
@@ -98,16 +83,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <set>
-#include <thread>
 
 #include "codegen/kernel_gen.hpp"
 #include "common/cli.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "dsl/compile.hpp"
 #include "dsl/runtime.hpp"
@@ -119,9 +101,7 @@
 #include "ir/analysis/checkers.hpp"
 #include "ir/analysis/divergence.hpp"
 #include "ir/analysis/static_cost.hpp"
-#include "common/rng.hpp"
 #include "obs/metrics.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/server.hpp"
 #include "resilience/fault_injector.hpp"
@@ -272,8 +252,6 @@ int run_analyze(int argc, char** argv);
 int run_profile(int argc, char** argv);
 /// `serve`: batched serving driver reporting throughput/latency/cache stats.
 int run_serve(int argc, char** argv);
-/// `loadtest`: open-loop Poisson load tiers writing the BENCH_serve artifact.
-int run_loadtest(int argc, char** argv);
 /// `chaos`: seeded fault schedules asserting the serving invariants.
 int run_chaos(int argc, char** argv);
 
@@ -283,7 +261,7 @@ struct Subcommand {
   int (*fn)(int argc, char** argv);
 };
 
-constexpr std::array<Subcommand, 6> kSubcommands = {{
+constexpr std::array<Subcommand, 5> kSubcommands = {{
     {"run", "simulate an application end to end (the default)", run_simulate},
     {"analyze", "statically prove bounds, coverage and Body specialization",
      run_analyze},
@@ -291,8 +269,6 @@ constexpr std::array<Subcommand, 6> kSubcommands = {{
      run_profile},
     {"serve", "batched pipeline serving: throughput/latency/cache report",
      run_serve},
-    {"loadtest", "Poisson load tiers -> BENCH_serve.json perf artifact",
-     run_loadtest},
     {"chaos", "seeded fault-injection schedules asserting serving invariants",
      run_chaos},
 }};
@@ -976,9 +952,7 @@ int run_profile(int argc, char** argv) {
   return 0;
 }
 
-/// Per-target placement counters as a JSON array. `rejected` stays for the
-/// BENCH_serve.json v2 schema and always reads 0: a target has no queue of
-/// its own, so nothing is ever rejected by one.
+/// Per-target placement counters as a JSON array.
 obs::Json devices_json(const std::vector<pipeline::TargetStats>& devices) {
   obs::Json out = obs::Json::array();
   for (const pipeline::TargetStats& d : devices) {
@@ -987,7 +961,6 @@ obs::Json devices_json(const std::vector<pipeline::TargetStats>& devices) {
     j["routed"] = d.routed;
     j["completed"] = d.completed;
     j["errors"] = d.errors;
-    j["rejected"] = u64{0};
     j["probes"] = d.probes;
     j["quarantines"] = d.quarantines;
     out.push_back(std::move(j));
@@ -1197,567 +1170,6 @@ int run_serve(int argc, char** argv) {
   }
   table.print(std::cout);
   if (!json_arg.empty()) std::cout << "wrote " << json_arg << "\n";
-  return 0;
-}
-
-// ---- loadtest: open-loop Poisson tiers -> BENCH_serve.json ------------------
-
-/// One application in the serving mix (graph + synthetic source).
-struct LoadCombo {
-  std::string app_name;
-  std::shared_ptr<const pipeline::KernelGraph> graph;
-  std::shared_ptr<const Image<f32>> source;
-};
-
-/// The border pattern is part of the executor's compile config, so one
-/// server serves one pattern: the apps x patterns matrix becomes one slice
-/// per pattern (the app mix rotates within a slice), run serially per tier
-/// with their stats merged — the streaming histograms merge exactly.
-struct LoadSlice {
-  std::string pattern_name;
-  filters::AppSimConfig sim;
-  f64 capacity_rps = 0.0;  ///< closed-loop calibration result
-};
-
-struct LoadSetup {
-  std::vector<LoadCombo> combos;
-  std::vector<LoadSlice> slices;
-  std::vector<sim::DeviceSpec> devices;
-  pipeline::KernelCache* cache = nullptr;
-  i32 workers = 4;  ///< per device
-  std::size_t queue_capacity = 128;  ///< per device
-  f64 deadline_ms = 0.0;
-  u32 shed_tiers = 3;
-  exec::Backend backend = exec::Backend::kNative;
-};
-
-pipeline::ServerConfig loadtest_server_config(const LoadSetup& setup,
-                                              const LoadSlice& slice) {
-  pipeline::ServerConfig cfg;
-  const std::size_t targets = setup.devices.size();
-  cfg.workers = setup.workers * static_cast<i32>(targets);
-  cfg.queue_capacity = setup.queue_capacity * targets;
-  cfg.executor.sim = slice.sim;  // the device is replaced per target
-  cfg.executor.cache = setup.cache;
-  cfg.executor.backend = setup.backend;
-  cfg.devices = setup.devices;
-  cfg.admission = pipeline::AdmissionConfig{.tiers = setup.shed_tiers};
-  return cfg;
-}
-
-pipeline::ServeRequest load_request(const LoadSetup& setup,
-                                    const LoadCombo& c, u32 tier) {
-  pipeline::ServeRequest req;
-  req.graph = c.graph;
-  req.source = c.source;
-  req.deadline_ms = setup.deadline_ms;
-  req.backend = setup.backend;
-  req.tier = tier;
-  return req;
-}
-
-/// Closed-loop capacity probe for one slice: keep 2x (workers x devices)
-/// top-tier requests outstanding for `duration_ms` and measure the server's
-/// completion rate. The open-loop tiers offer multiples of this rate.
-f64 calibrate_capacity_rps(const LoadSetup& setup, const LoadSlice& slice,
-                           f64 duration_ms) {
-  using Clock = std::chrono::steady_clock;
-  pipeline::PipelineServer server(loadtest_server_config(setup, slice));
-  const std::size_t outstanding_target =
-      static_cast<std::size_t>(setup.workers) * setup.devices.size() * 2;
-  std::deque<std::future<pipeline::ServeResponse>> inflight;
-  u64 ok = 0;
-  std::size_t combo = 0;
-  const Clock::time_point t0 = Clock::now();
-  const Clock::time_point end =
-      t0 + std::chrono::duration_cast<Clock::duration>(
-               std::chrono::duration<f64, std::milli>(duration_ms));
-  while (Clock::now() < end) {
-    if (inflight.size() < outstanding_target) {
-      const LoadCombo& c = setup.combos[combo++ % setup.combos.size()];
-      inflight.push_back(server.submit(load_request(setup, c, 0)));
-    } else {
-      if (inflight.front().get().status == pipeline::ServeStatus::kOk) ++ok;
-      inflight.pop_front();
-    }
-  }
-  for (auto& f : inflight) {
-    if (f.get().status == pipeline::ServeStatus::kOk) ++ok;
-  }
-  server.shutdown();
-  const f64 wall_s = std::chrono::duration<f64>(Clock::now() - t0).count();
-  if (ok == 0 || wall_s <= 0.0) {
-    throw IoError("loadtest calibration for pattern '" + slice.pattern_name +
-                  "' completed no requests");
-  }
-  return static_cast<f64>(ok) / wall_s;
-}
-
-/// Index-wise stats merge: the tier runs all use the same device order and
-/// admission tier count, so devices/tiers line up by position.
-void merge_stats(pipeline::ServerStats& into,
-                 const pipeline::ServerStats& from) {
-  into.submitted += from.submitted;
-  into.completed += from.completed;
-  into.shed += from.shed;
-  into.rejected += from.rejected;
-  into.deadline_expired += from.deadline_expired;
-  into.errors += from.errors;
-  into.failovers += from.failovers;
-  if (into.devices.empty()) into.devices.resize(from.devices.size());
-  for (std::size_t i = 0; i < from.devices.size(); ++i) {
-    pipeline::TargetStats& d = into.devices[i];
-    const pipeline::TargetStats& s = from.devices[i];
-    d.device = s.device;
-    d.routed += s.routed;
-    d.completed += s.completed;
-    d.errors += s.errors;
-    d.probes += s.probes;
-    d.quarantines += s.quarantines;
-  }
-  if (into.tiers.empty()) into.tiers.resize(from.tiers.size());
-  for (std::size_t i = 0; i < from.tiers.size(); ++i) {
-    pipeline::TierStats& t = into.tiers[i];
-    const pipeline::TierStats& s = from.tiers[i];
-    t.tier = s.tier;
-    t.submitted += s.submitted;
-    t.shed += s.shed;
-    t.browned_out += s.browned_out;
-    t.completed += s.completed;
-    t.rejected += s.rejected;
-    t.deadline_expired += s.deadline_expired;
-    t.errors += s.errors;
-    t.latency_ms.merge(s.latency_ms);
-  }
-}
-
-/// Merged result of one tier (all slices, run serially).
-struct TierResult {
-  f64 offered_rps = 0.0;  ///< wall-time-weighted mean offered rate
-  f64 wall_s = 0.0;       ///< first submit -> fully drained, summed
-  pipeline::ServerStats stats;
-
-  [[nodiscard]] f64 throughput_rps() const {
-    return wall_s > 0.0 ? static_cast<f64>(stats.completed) / wall_s : 0.0;
-  }
-  [[nodiscard]] f64 rejection_rate() const {
-    return stats.submitted > 0
-               ? static_cast<f64>(stats.rejected) /
-                     static_cast<f64>(stats.submitted)
-               : 0.0;
-  }
-  [[nodiscard]] f64 shed_rate() const {
-    return stats.submitted > 0 ? static_cast<f64>(stats.shed) /
-                                     static_cast<f64>(stats.submitted)
-                               : 0.0;
-  }
-  [[nodiscard]] obs::StreamingHistogram latency_all() const {
-    obs::StreamingHistogram all;
-    for (const pipeline::TierStats& t : stats.tiers) all.merge(t.latency_ms);
-    return all;
-  }
-};
-
-/// Open-loop tier run: Poisson arrivals (exponential inter-arrival times)
-/// at `multiplier` x each slice's calibrated capacity, independent of
-/// completion — queue pressure above capacity is real, as at a production
-/// ingress. Requests rotate through the app mix AND the admission priority
-/// tiers, so overload shows up as tier-ordered shedding rather than
-/// indiscriminate rejection. Slices run serially on fresh servers over the
-/// shared warm cache. `flight_recorder` (optional) receives SLO snapshots
-/// (200 ms exporter) and watchdog frames.
-TierResult run_tier(const LoadSetup& setup, f64 multiplier, f64 duration_ms,
-                    u64 seed, obs::FlightRecorder* flight_recorder) {
-  using Clock = std::chrono::steady_clock;
-  TierResult result;
-  f64 offered_weighted = 0.0;
-  for (std::size_t s = 0; s < setup.slices.size(); ++s) {
-    const LoadSlice& slice = setup.slices[s];
-    const f64 offered_rps = slice.capacity_rps * multiplier;
-    pipeline::ServerConfig cfg = loadtest_server_config(setup, slice);
-    cfg.flight_recorder = flight_recorder;
-    pipeline::PipelineServer server(cfg);
-
-    std::unique_ptr<obs::SloExporter> exporter;
-    if (flight_recorder != nullptr) {
-      exporter = std::make_unique<obs::SloExporter>(
-          *flight_recorder,
-          [&server] { return server.slo_snapshot().to_json(); },
-          /*interval_ms=*/200);
-    }
-
-    Rng rng(seed + s);
-    std::size_t combo = 0;
-    u32 tier_rr = 0;
-    const Clock::time_point t0 = Clock::now();
-    const Clock::time_point end =
-        t0 + std::chrono::duration_cast<Clock::duration>(
-                 std::chrono::duration<f64, std::milli>(duration_ms));
-    std::chrono::duration<f64> next{0.0};
-    for (;;) {
-      next += std::chrono::duration<f64>(rng.exponential(offered_rps));
-      const Clock::time_point at =
-          t0 + std::chrono::duration_cast<Clock::duration>(next);
-      if (at >= end) break;
-      std::this_thread::sleep_until(at);
-      const LoadCombo& c = setup.combos[combo++ % setup.combos.size()];
-      // Open loop: the future is dropped — the server settles every promise
-      // and its stats count every outcome; the generator never blocks.
-      (void)server.submit(
-          load_request(setup, c, tier_rr++ % setup.shed_tiers));
-    }
-    server.shutdown();  // drains the queue; every request settles
-    const f64 wall_s = std::chrono::duration<f64>(Clock::now() - t0).count();
-    if (exporter != nullptr) exporter->stop();  // final window sample
-    merge_stats(result.stats, server.stats());
-    result.wall_s += wall_s;
-    offered_weighted += offered_rps * wall_s;
-  }
-  result.offered_rps =
-      result.wall_s > 0.0 ? offered_weighted / result.wall_s : 0.0;
-  return result;
-}
-
-obs::Json tier_json(std::string_view name, f64 multiplier, f64 duration_ms,
-                    const TierResult& tier) {
-  const auto opt = [](std::optional<f64> v) {
-    return v ? obs::Json(*v) : obs::Json(nullptr);
-  };
-  obs::Json t = obs::Json::object();
-  t["tier"] = std::string(name);
-  t["multiplier"] = multiplier;
-  t["offered_rps"] = tier.offered_rps;
-  t["duration_ms"] = duration_ms;
-  t["wall_s"] = tier.wall_s;
-  t["submitted"] = tier.stats.submitted;
-  t["completed"] = tier.stats.completed;
-  t["shed"] = tier.stats.shed;
-  t["rejected"] = tier.stats.rejected;
-  t["deadline_expired"] = tier.stats.deadline_expired;
-  t["errors"] = tier.stats.errors;
-  t["failovers"] = tier.stats.failovers;
-  t["throughput_rps"] = tier.throughput_rps();
-  t["rejection_rate"] = tier.rejection_rate();
-  t["shed_rate"] = tier.shed_rate();
-  const obs::StreamingHistogram all = tier.latency_all();
-  obs::Json latency = obs::Json::object();
-  latency["p50_ms"] = opt(all.percentile(50.0));
-  latency["p90_ms"] = opt(all.percentile(90.0));
-  latency["p99_ms"] = opt(all.percentile(99.0));
-  latency["mean_ms"] = opt(all.mean());
-  latency["max_ms"] = opt(all.max());
-  t["latency"] = std::move(latency);
-  // Per-admission-priority-tier breakdown: the schema gate (bench_diff)
-  // requires this section — it is how shedding order and the admitted
-  // top-tier p99 get asserted in CI.
-  obs::Json admission = obs::Json::array();
-  for (const pipeline::TierStats& a : tier.stats.tiers) {
-    obs::Json j = obs::Json::object();
-    j["tier"] = static_cast<i64>(a.tier);
-    j["submitted"] = a.submitted;
-    j["shed"] = a.shed;
-    j["browned_out"] = a.browned_out;
-    j["completed"] = a.completed;
-    j["rejected"] = a.rejected;
-    j["deadline_expired"] = a.deadline_expired;
-    j["errors"] = a.errors;
-    obs::Json lat = obs::Json::object();
-    lat["p50_ms"] = opt(a.latency_ms.percentile(50.0));
-    lat["p99_ms"] = opt(a.latency_ms.percentile(99.0));
-    j["latency"] = std::move(lat);
-    admission.push_back(std::move(j));
-  }
-  t["admission"] = std::move(admission);
-  return t;
-}
-
-/// Aggregate critical-path view over every traced request: where the wall
-/// time went, and whether every span linked into its request's tree.
-obs::Json critical_path_json(const std::vector<obs::TraceEvent>& events) {
-  obs::Json out = obs::Json::object();
-  const std::vector<u64> ids = obs::request_ids(events);
-  u64 complete = 0;
-  u64 unreachable_spans = 0;
-  f64 total = 0.0;
-  f64 queue = 0.0;
-  f64 compile = 0.0;
-  f64 sim = 0.0;
-  f64 retry = 0.0;
-  f64 other = 0.0;
-  for (u64 id : ids) {
-    const obs::RequestBreakdown b = obs::request_breakdown(events, id);
-    if (b.has_root && b.unreachable == 0) ++complete;
-    unreachable_spans += static_cast<u64>(b.unreachable);
-    total += b.total_us;
-    queue += b.queue_us;
-    compile += b.compile_us;
-    sim += b.sim_us;
-    retry += b.retry_backoff_us;
-    other += b.other_us;
-  }
-  out["requests_traced"] = static_cast<i64>(ids.size());
-  out["requests_complete_trees"] = complete;
-  out["unreachable_spans"] = unreachable_spans;
-  if (total > 0.0) {
-    out["queue_fraction"] = queue / total;
-    out["compile_fraction"] = compile / total;
-    out["sim_fraction"] = sim / total;
-    out["retry_backoff_fraction"] = retry / total;
-    out["other_fraction"] = other / total;
-  }
-  return out;
-}
-
-int run_loadtest(int argc, char** argv) {
-  Cli cli(argc, argv);
-  cli.option("apps", "comma list of apps to mix (default gaussian,sobel)")
-      .option("patterns", "comma list of border patterns (default clamp,mirror)")
-      .option("devices",
-              "comma list of devices (default gtx680,rtx2080)")
-      .option("shed-tiers", "admission priority tiers (default 3)")
-      .option("size", "synthetic image extent (default 128)")
-      .option("block", "threadblock TXxTY (default 32x4)")
-      .option("workers", "worker threads per device (default 4)")
-      .option("queue", "queue slots per device (default 128)")
-      .option("duration-ms", "submission window per tier slice (default 1500)")
-      .option("tiers", "capacity multipliers (default 0.5,0.9,1.5)")
-      .option("deadline-ms", "per-request deadline, 0 = none")
-      .option("backend", "interp|native execution engine (default native)")
-      .option("seed", "arrival-process seed (default 7)")
-      .option("full", "full (non-sampled) launches; slower, exact outputs")
-      .option("quick", "CI smoke mode: ~300 ms slices at size 64")
-      .option("json", "artifact path (default BENCH_serve.json)");
-  if (cli.finish()) {
-    std::cout << cli.help();
-    return 0;
-  }
-
-  const bool quick = cli.get_flag("quick");
-  const i32 size = static_cast<i32>(cli.get_int("size", quick ? 64 : 128));
-  const f64 duration_ms = cli.get_double("duration-ms", quick ? 300.0 : 1500.0);
-  const i32 workers = static_cast<i32>(cli.get_int("workers", 4));
-  if (workers <= 0) throw IoError("--workers must be positive");
-  if (duration_ms <= 0.0) throw IoError("--duration-ms must be positive");
-
-  std::vector<f64> multipliers;
-  {
-    std::string spec = cli.get_string("tiers", "0.5,0.9,1.5");
-    std::replace(spec.begin(), spec.end(), ',', ' ');
-    std::istringstream in(spec);
-    f64 m = 0.0;
-    while (in >> m) {
-      if (m <= 0.0) throw IoError("--tiers multipliers must be positive");
-      multipliers.push_back(m);
-    }
-  }
-  if (multipliers.empty()) throw IoError("--tiers parsed to no multipliers");
-
-  const auto split_csv = [](std::string spec) {
-    std::vector<std::string> out;
-    std::replace(spec.begin(), spec.end(), ',', ' ');
-    std::istringstream in(spec);
-    std::string word;
-    while (in >> word) out.push_back(word);
-    return out;
-  };
-
-  LoadSetup setup;
-  setup.workers = workers;
-  setup.queue_capacity = static_cast<std::size_t>(cli.get_int("queue", 128));
-  setup.deadline_ms = cli.get_double("deadline-ms", 0.0);
-  setup.backend = parse_backend_arg(cli.get_string("backend", "native"));
-  setup.devices = parse_devices(cli.get_string("devices", "gtx680,rtx2080"));
-  setup.shed_tiers = parse_shed_tiers(cli);
-
-  filters::AppSimConfig base_sim;
-  base_sim.sampled = !cli.get_flag("full");
-  base_sim.block = parse_block(cli.get_string("block", "32x4"));
-
-  const std::vector<std::string> app_names =
-      split_csv(cli.get_string("apps", "gaussian,sobel"));
-  const std::vector<std::string> pattern_names =
-      split_csv(cli.get_string("patterns", "clamp,mirror"));
-  if (app_names.empty() || pattern_names.empty()) {
-    throw IoError("--apps / --patterns must name at least one entry each");
-  }
-  for (const std::string& app_name : app_names) {
-    const filters::MultiKernelApp app = app_by_name(app_name);
-    LoadCombo combo;
-    combo.app_name = app_name;
-    combo.graph = std::make_shared<const pipeline::KernelGraph>(
-        pipeline::build_graph(app));
-    combo.source = std::make_shared<const Image<f32>>(
-        make_noise_image({size, size}, 4242));
-    setup.combos.push_back(std::move(combo));
-  }
-  for (const std::string& pattern_name : pattern_names) {
-    LoadSlice slice;
-    slice.pattern_name = pattern_name;
-    slice.sim = base_sim;
-    slice.sim.pattern = parse_pattern_arg(pattern_name);
-    setup.slices.push_back(std::move(slice));
-  }
-
-  const u64 seed = static_cast<u64>(cli.get_int("seed", 7));
-  pipeline::KernelCache cache;
-  setup.cache = &cache;
-  const std::string json_path = cli.get_string("json", "BENCH_serve.json");
-
-  // Warm the shared cache: one pass over every app x pattern x device
-  // pairing (pinned placements so every target compiles its own device-keyed
-  // modules) so tier runs measure steady-state serving, not first-touch
-  // compilation. The kNaive pass pre-compiles the brownout artifacts —
-  // otherwise the first browned-out request under overload pays a JIT
-  // compile inside the measurement window.
-  for (const LoadSlice& slice : setup.slices) {
-    pipeline::PipelineServer warm(loadtest_server_config(setup, slice));
-    std::vector<std::future<pipeline::ServeResponse>> futures;
-    for (const LoadCombo& c : setup.combos) {
-      for (const sim::DeviceSpec& dev : setup.devices) {
-        for (const std::optional<codegen::Variant> variant :
-             {std::optional<codegen::Variant>{},
-              std::optional<codegen::Variant>{codegen::Variant::kNaive}}) {
-          pipeline::ServeRequest req = load_request(setup, c, 0);
-          req.deadline_ms = 0.0;
-          req.pin_device = dev.name;
-          req.variant = variant;
-          futures.push_back(warm.submit(std::move(req)));
-        }
-      }
-    }
-    for (auto& f : futures) {
-      const pipeline::ServeResponse r = f.get();
-      if (r.status != pipeline::ServeStatus::kOk) {
-        throw IoError("loadtest warmup (" + slice.pattern_name +
-                      ") failed: " + r.error);
-      }
-    }
-    warm.shutdown();
-  }
-
-  std::cout << "calibrating closed-loop serving capacity ("
-            << setup.combos.size() << " apps x " << setup.slices.size()
-            << " patterns, " << setup.devices.size() << " device(s) x "
-            << workers << " workers)...\n";
-  const f64 calib_ms = std::max(duration_ms * 0.5, 200.0);
-  f64 capacity_sum = 0.0;
-  for (LoadSlice& slice : setup.slices) {
-    slice.capacity_rps = calibrate_capacity_rps(setup, slice, calib_ms);
-    std::cout << "  " << slice.pattern_name << ": "
-              << AsciiTable::num(slice.capacity_rps, 1) << " req/s\n";
-    capacity_sum += slice.capacity_rps;
-  }
-  const f64 capacity_rps =
-      capacity_sum / static_cast<f64>(setup.slices.size());
-
-  const auto tier_name = [](f64 m) {
-    if (m < 0.75) return std::string("below");
-    if (m <= 1.1) return std::string("near");
-    return std::string("above");
-  };
-
-  obs::Json tiers = obs::Json::array();
-  AsciiTable table("loadtest tiers (capacity " +
-                   AsciiTable::num(capacity_rps, 1) + " req/s over " +
-                   std::to_string(setup.devices.size()) + " device(s))");
-  table.set_header({"tier", "offered rps", "throughput rps", "p50 ms",
-                    "p99 ms", "shed %", "rejected %"});
-  f64 top_multiplier = 0.0;
-  for (f64 m : multipliers) top_multiplier = std::max(top_multiplier, m);
-  pipeline::ServerStats total;  ///< all measured tiers (placement story)
-  for (std::size_t i = 0; i < multipliers.size(); ++i) {
-    const f64 m = multipliers[i];
-    const TierResult tier =
-        run_tier(setup, m, duration_ms, seed + i * 100, nullptr);
-    tiers.push_back(tier_json(tier_name(m), m, duration_ms, tier));
-    merge_stats(total, tier.stats);
-    const obs::StreamingHistogram all = tier.latency_all();
-    const auto p = [&](f64 pct) {
-      const std::optional<f64> v = all.percentile(pct);
-      return v ? AsciiTable::num(*v, 3) : std::string("n/a");
-    };
-    table.add_row({tier_name(m) + " x" + AsciiTable::num(m, 2),
-                   AsciiTable::num(tier.offered_rps, 1),
-                   AsciiTable::num(tier.throughput_rps(), 1), p(50.0), p(99.0),
-                   AsciiTable::num(tier.shed_rate() * 100.0, 1),
-                   AsciiTable::num(tier.rejection_rate() * 100.0, 1)});
-  }
-
-  // Observability overhead: run the top tier obs-off and obs-on (metrics
-  // registry, trace session with request-scoped spans, SLO exporter into a
-  // flight recorder) back to back with the same arrival seed, so machine
-  // drift over the sweep cancels and only the telemetry cost differs.
-  const TierResult obs_off =
-      run_tier(setup, top_multiplier, duration_ms, seed + 1000, nullptr);
-  obs::FlightRecorder flight(256);
-  obs::MetricsRegistry registry;
-  obs::TraceSession::start();
-  TierResult obs_on;
-  {
-    obs::MetricsRegistry::ScopedInstall install(registry);
-    obs_on = run_tier(setup, top_multiplier, duration_ms, seed + 1000, &flight);
-  }
-  const std::vector<obs::TraceEvent> events = obs::TraceSession::stop();
-  const f64 off_rps = obs_off.throughput_rps();
-  const f64 on_rps = obs_on.throughput_rps();
-  const f64 overhead_pct =
-      off_rps > 0.0 ? (off_rps - on_rps) / off_rps * 100.0 : 0.0;
-
-  obs::Json report = obs::Json::object();
-  report["bench"] = "loadtest";
-  // v2: multi-device serving — per-device placement stats and
-  // per-admission-tier shed/brownout breakdowns joined the schema
-  // (bench_diff gates on it).
-  report["schema_version"] = static_cast<i64>(2);
-  obs::Json config = obs::Json::object();
-  config["apps"] = [&] {
-    obs::Json a = obs::Json::array();
-    for (const auto& n : app_names) a.push_back(obs::Json(n));
-    return a;
-  }();
-  config["patterns"] = [&] {
-    obs::Json a = obs::Json::array();
-    for (const auto& n : pattern_names) a.push_back(obs::Json(n));
-    return a;
-  }();
-  config["size"] = size;
-  config["workers"] = static_cast<i64>(workers);
-  config["queue_capacity"] = static_cast<i64>(setup.queue_capacity);
-  config["duration_ms"] = duration_ms;
-  config["deadline_ms"] = setup.deadline_ms;
-  config["seed"] = seed;
-  config["sampled"] = base_sim.sampled;
-  config["devices"] = [&] {
-    obs::Json a = obs::Json::array();
-    for (const sim::DeviceSpec& d : setup.devices) {
-      a.push_back(obs::Json(d.name));
-    }
-    return a;
-  }();
-  config["shed_tiers"] = static_cast<i64>(setup.shed_tiers);
-  config["backend"] = std::string(exec::to_string(setup.backend));
-  report["config"] = std::move(config);
-  report["capacity_rps"] = capacity_rps;
-  report["tiers"] = std::move(tiers);
-  // Placement over every measured tier: where requests landed, how often
-  // each device was quarantined, how many half-open probes it absorbed.
-  report["devices"] = devices_json(total.devices);
-  obs::Json overhead = obs::Json::object();
-  overhead["obs_off_rps"] = off_rps;
-  overhead["obs_on_rps"] = on_rps;
-  overhead["overhead_pct"] = overhead_pct;
-  report["obs_overhead"] = std::move(overhead);
-  report["critical_path"] = critical_path_json(events);
-  report["slo_timeline"] = flight.to_json();
-
-  write_text_file(json_path, report.dump(2));
-
-  table.print(std::cout);
-  std::cout << "obs overhead at x" << AsciiTable::num(top_multiplier, 2)
-            << ": " << AsciiTable::num(off_rps, 1) << " -> "
-            << AsciiTable::num(on_rps, 1) << " req/s ("
-            << AsciiTable::num(overhead_pct, 2) << "%)\n";
-  std::cout << "wrote " << json_path << "\n";
   return 0;
 }
 
