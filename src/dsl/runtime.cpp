@@ -151,6 +151,8 @@ SimRun launch_on_sim(const sim::DeviceSpec& dev, const CompiledKernel& kernel,
     run.degenerate_fallback = true;
   }
 
+  run.regs_per_thread = to_run->regs_per_thread;
+
   // Bind buffers: inputs read-only, output writable.
   std::vector<ir::BufferBinding> buffers;
   buffers.reserve(inputs.size() + 1);

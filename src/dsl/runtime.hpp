@@ -30,6 +30,8 @@ struct SimRun {
   /// True when a degenerate partition (a block would need opposing-side
   /// checks, e.g. image narrower than the window) forced the naive kernel.
   bool degenerate_fallback = false;
+  /// Register demand of the kernel that ran (the naive twin's on fallback).
+  i32 regs_per_thread = 0;
 };
 
 /// True when `kernel` is specialized (not naive) and `image` tiled by

@@ -61,13 +61,13 @@ BackendRun InterpretedBackend::run(const codegen::StencilSpec& spec,
   pipeline::KernelCache::KernelPtr kernel;
   pipeline::KernelCache::KernelPtr naive_twin;
   if (cache_ != nullptr) {
-    kernel = cache_->get_or_compile(spec, options, device.name);
-    // A degenerate partition runs the naive twin: fetch it under the same
-    // key with variant kNaive so tiny images do not recompile per launch.
+    kernel = cache_->get_or_compile(spec, options);
+    // A degenerate partition runs the naive twin: fetch it from the cache
+    // with variant kNaive so tiny images do not recompile per launch.
     if (dsl::needs_naive_fallback(*kernel, output.size(), block)) {
       codegen::CodegenOptions naive_options = options;
       naive_options.variant = codegen::Variant::kNaive;
-      naive_twin = cache_->get_or_compile(spec, naive_options, device.name);
+      naive_twin = cache_->get_or_compile(spec, naive_options);
     }
   } else {
     kernel = std::make_shared<const dsl::CompiledKernel>(
@@ -80,7 +80,7 @@ BackendRun InterpretedBackend::run(const codegen::StencilSpec& spec,
   run.variant_used = sim_run.variant_used;
   run.degenerate_fallback = sim_run.degenerate_fallback;
   run.backend = Backend::kInterpreted;
-  run.regs_per_thread = kernel->regs_per_thread;
+  run.regs_per_thread = sim_run.regs_per_thread;
   return run;
 }
 
@@ -126,7 +126,7 @@ f64 run_native_module(const NativeModule& module,
 
 BackendRun NativeBackend::run(const codegen::StencilSpec& spec,
                               const codegen::CodegenOptions& options,
-                              const sim::DeviceSpec& device,
+                              const sim::DeviceSpec& /*device*/,
                               std::span<const Image<f32>* const> inputs,
                               Image<f32>& output, BlockSize /*block*/,
                               bool /*sampled*/) {
@@ -134,7 +134,7 @@ BackendRun NativeBackend::run(const codegen::StencilSpec& spec,
 
   NativeModulePtr module;
   if (cache_ != nullptr) {
-    module = cache_->get_or_compile_native(spec, options, device.name);
+    module = cache_->get_or_compile_native(spec, options);
   } else {
     module = jit_compile(spec, options, jit_);
   }

@@ -102,11 +102,9 @@ NativeModulePtr load_module(const fs::path& so_path,
 
 /// Shared naming between jit_compile and artifact_stem: the stem is a pure
 /// function of the emitted source, the compiler driver and the flag set.
-std::string compute_stem(const codegen::StencilSpec& spec,
-                         const codegen::CodegenOptions& options,
+/// Callers pass the source they already emitted, so a TU is emitted once.
+std::string compute_stem(std::string_view source, const std::string& symbol,
                          const JitConfig& config) {
-  const std::string source = emit_cpp(spec, options);
-  const std::string symbol = cpp_kernel_symbol(spec, options);
   const std::string compiler = resolved_compiler(config);
   const std::string flags =
       std::string(kFixedFlags) +
@@ -120,7 +118,8 @@ std::string compute_stem(const codegen::StencilSpec& spec,
 std::string artifact_stem(const codegen::StencilSpec& spec,
                           const codegen::CodegenOptions& options,
                           const JitConfig& config) {
-  return compute_stem(spec, options, config);
+  return compute_stem(emit_cpp(spec, options), cpp_kernel_symbol(spec, options),
+                      config);
 }
 
 std::string resolved_cache_dir(const JitConfig& config) {
@@ -169,7 +168,7 @@ NativeModulePtr jit_compile(const codegen::StencilSpec& spec,
       std::string(kFixedFlags) +
       (config.extra_flags.empty() ? "" : " " + config.extra_flags);
   const fs::path dir = resolved_cache_dir(config);
-  const std::string base = compute_stem(spec, options, config);
+  const std::string base = compute_stem(source, symbol, config);
   const fs::path so_path = dir / (base + ".so");
 
   obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();

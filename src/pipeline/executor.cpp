@@ -63,16 +63,15 @@ ExecutorResult::Stage launch_stage_variant(const KernelGraph::Stage& stage,
   // device target.
   resilience::fault_point("device.launch", sim_cfg.device.name);
 
-  exec::BackendRun run;
-  if (backend == exec::Backend::kNative) {
-    exec::NativeBackend engine(cache);
-    run = engine.run(stage.spec, options, sim_cfg.device, inputs, out,
-                     sim_cfg.block, sim_cfg.sampled);
-  } else {
-    exec::InterpretedBackend engine(cache);
-    run = engine.run(stage.spec, options, sim_cfg.device, inputs, out,
-                     sim_cfg.block, sim_cfg.sampled);
-  }
+  exec::InterpretedBackend interp(cache);
+  exec::NativeBackend native(cache);
+  exec::ExecutionBackend& engine =
+      backend == exec::Backend::kNative
+          ? static_cast<exec::ExecutionBackend&>(native)
+          : interp;
+  const exec::BackendRun run = engine.run(stage.spec, options, sim_cfg.device,
+                                          inputs, out, sim_cfg.block,
+                                          sim_cfg.sampled);
 
   ExecutorResult::Stage s;
   s.kernel = stage.spec.name;
@@ -83,59 +82,67 @@ ExecutorResult::Stage launch_stage_variant(const KernelGraph::Stage& stage,
   return s;
 }
 
+/// One breaker-guarded attempt: `primary` runs unless the breaker is open,
+/// and a kernel failure is recorded on the breaker; an open breaker or a
+/// recorded failure serves `fallback` instead, marked by `flag`. An open
+/// breaker skips the failing path and its `executor.stage` fault point.
+/// Errors that are not kernel failures release the breaker's probe slot
+/// and pass through; without a breaker every error passes through.
+template <typename Primary, typename Fallback>
+ExecutorResult::Stage guarded_attempt(resilience::CircuitBreaker* breaker,
+                                      const std::string& kernel,
+                                      bool ExecutorResult::Stage::*flag,
+                                      Primary primary, Fallback fallback) {
+  if (breaker == nullptr || breaker->allow()) {
+    resilience::fault_point("executor.stage", kernel);
+    try {
+      ExecutorResult::Stage s = primary();
+      if (breaker != nullptr) breaker->record_success();
+      return s;
+    } catch (...) {
+      if (breaker == nullptr) throw;
+      if (!is_kernel_failure()) {
+        breaker->release();
+        throw;
+      }
+      breaker->record_failure();
+    }
+  }
+  ExecutorResult::Stage s = fallback();
+  s.*flag = true;
+  return s;
+}
+
 /// One interpreted attempt at a stage: breaker gating, variant planning,
 /// compile, launch, and — when the specialized path fails under an active
-/// breaker — the transparent naive fallback (the runtime isp+m).
+/// breaker — the transparent naive fallback (the runtime isp+m). The
+/// caller still sees kOk, with the degradation visible in variant_used.
 ExecutorResult::Stage run_stage_interp_once(
     const KernelGraph::Stage& stage, const ExecutorConfig& config,
     const std::vector<Image<f32>>& images, Image<f32>& out) {
   const filters::AppSimConfig& sim_cfg = config.sim;
-
-  resilience::CircuitBreaker* breaker = nullptr;
-  if (config.breakers != nullptr &&
-      sim_cfg.variant != codegen::Variant::kNaive) {
-    breaker = &config.breakers->get(stage.spec.name);
-    if (!breaker->allow()) {
-      // Open breaker: serve the naive variant without planning or touching
-      // the (still failing) specialized path at all.
-      ExecutorResult::Stage s =
-          launch_stage_variant(stage, config, images, out,
-                               codegen::Variant::kNaive,
-                               exec::Backend::kInterpreted);
-      s.served_by_fallback = true;
-      return s;
-    }
-  }
-
-  resilience::fault_point("executor.stage", stage.spec.name);
-  try {
-    codegen::Variant variant = sim_cfg.variant;
-    if (sim_cfg.use_model) {
-      const dsl::PlanDecision plan = dsl::plan_variant(
-          sim_cfg.device, stage.spec, out.size(), sim_cfg.block,
-          sim_cfg.pattern, sim_cfg.variant == codegen::Variant::kIspWarp);
-      variant = plan.variant;
-    }
-    ExecutorResult::Stage s = launch_stage_variant(
-        stage, config, images, out, variant, exec::Backend::kInterpreted);
-    if (breaker != nullptr) breaker->record_success();
-    return s;
-  } catch (...) {
-    if (breaker == nullptr) throw;
-    if (!is_kernel_failure()) {
-      breaker->release();
-      throw;
-    }
-    breaker->record_failure();
-    // Abandon the specialized path for this request and serve naive; the
-    // caller still sees kOk, with the degradation visible in variant_used.
-    ExecutorResult::Stage s =
-        launch_stage_variant(stage, config, images, out,
-                             codegen::Variant::kNaive,
-                             exec::Backend::kInterpreted);
-    s.served_by_fallback = true;
-    return s;
-  }
+  resilience::CircuitBreaker* breaker =
+      config.breakers != nullptr && sim_cfg.variant != codegen::Variant::kNaive
+          ? &config.breakers->get(stage.spec.name)
+          : nullptr;
+  return guarded_attempt(
+      breaker, stage.spec.name, &ExecutorResult::Stage::served_by_fallback,
+      [&] {
+        codegen::Variant variant = sim_cfg.variant;
+        if (sim_cfg.use_model) {
+          variant = dsl::plan_variant(sim_cfg.device, stage.spec, out.size(),
+                                      sim_cfg.block, sim_cfg.pattern,
+                                      variant == codegen::Variant::kIspWarp)
+                        .variant;
+        }
+        return launch_stage_variant(stage, config, images, out, variant,
+                                    exec::Backend::kInterpreted);
+      },
+      [&] {
+        return launch_stage_variant(stage, config, images, out,
+                                    codegen::Variant::kNaive,
+                                    exec::Backend::kInterpreted);
+      });
 }
 
 /// One attempt at a stage on the selected engine. The native path has its
@@ -152,36 +159,18 @@ ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
   if (backend != exec::Backend::kNative) {
     return run_stage_interp_once(stage, config, images, out);
   }
-
-  resilience::CircuitBreaker* breaker = nullptr;
-  if (config.breakers != nullptr) {
-    breaker = &config.breakers->get(stage.spec.name + "#native");
-    if (!breaker->allow()) {
-      ExecutorResult::Stage s =
-          run_stage_interp_once(stage, config, images, out);
-      s.backend_fallback = true;
-      return s;
-    }
-  }
-
-  resilience::fault_point("executor.stage", stage.spec.name);
-  try {
-    ExecutorResult::Stage s = launch_stage_variant(
-        stage, config, images, out, config.sim.variant,
-        exec::Backend::kNative);
-    if (breaker != nullptr) breaker->record_success();
-    return s;
-  } catch (...) {
-    if (breaker == nullptr) throw;
-    if (!is_kernel_failure()) {
-      breaker->release();
-      throw;
-    }
-    breaker->record_failure();
-    ExecutorResult::Stage s = run_stage_interp_once(stage, config, images, out);
-    s.backend_fallback = true;
-    return s;
-  }
+  resilience::CircuitBreaker* breaker =
+      config.breakers != nullptr
+          ? &config.breakers->get(stage.spec.name + "#native")
+          : nullptr;
+  return guarded_attempt(
+      breaker, stage.spec.name, &ExecutorResult::Stage::backend_fallback,
+      [&] {
+        return launch_stage_variant(stage, config, images, out,
+                                    config.sim.variant,
+                                    exec::Backend::kNative);
+      },
+      [&] { return run_stage_interp_once(stage, config, images, out); });
 }
 
 /// Runs one stage under the retry policy and publishes resilience metrics.
@@ -190,40 +179,33 @@ ExecutorResult::Stage run_stage(const KernelGraph::Stage& stage,
                                 const ExecutorConfig& config,
                                 const std::vector<Image<f32>>& images,
                                 Image<f32>& out, exec::Backend backend) {
+  obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();
   resilience::RetryOutcome outcome;
+  const auto count_retries = [&] {
+    if (reg != nullptr && outcome.attempts > 1) {
+      reg->add("resilience.retry.attempts",
+               static_cast<f64>(outcome.attempts - 1),
+               {{"site", "executor.stage"}});
+    }
+  };
+  const auto attempt = [&] {
+    Deadline::current().check();
+    return run_stage_once(stage, config, images, out, backend);
+  };
   ExecutorResult::Stage s;
   try {
-    s = resilience::retry_call(
-        config.retry, config.clock,
-        [&] {
-          Deadline::current().check();
-          return run_stage_once(stage, config, images, out, backend);
-        },
-        &outcome);
+    s = resilience::retry_call(config.retry, config.clock, attempt, &outcome);
   } catch (...) {
-    if (obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();
-        reg != nullptr && outcome.attempts > 1) {
-      reg->add("resilience.retry.attempts",
-               static_cast<f64>(outcome.attempts - 1),
-               {{"site", "executor.stage"}});
-    }
+    count_retries();
     throw;
   }
+  count_retries();
   s.attempts = outcome.attempts;
-  if (obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();
-      reg != nullptr) {
-    if (outcome.attempts > 1) {
-      reg->add("resilience.retry.attempts",
-               static_cast<f64>(outcome.attempts - 1),
-               {{"site", "executor.stage"}});
-    }
-    if (s.served_by_fallback) {
-      reg->add("resilience.fallback.served", 1.0,
-               {{"kernel", stage.spec.name}});
-    }
-    if (s.backend_fallback) {
-      reg->add("exec.backend.fallback", 1.0, {{"kernel", stage.spec.name}});
-    }
+  if (reg != nullptr && s.served_by_fallback) {
+    reg->add("resilience.fallback.served", 1.0, {{"kernel", stage.spec.name}});
+  }
+  if (reg != nullptr && s.backend_fallback) {
+    reg->add("exec.backend.fallback", 1.0, {{"kernel", stage.spec.name}});
   }
   return s;
 }

@@ -1,8 +1,11 @@
 #include "pipeline/kernel_cache.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <filesystem>
+#include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -87,9 +90,9 @@ u64 spec_fingerprint(const codegen::StencilSpec& spec) {
 
 std::string cache_key(const codegen::StencilSpec& spec,
                       const codegen::CodegenOptions& options,
-                      std::string_view device) {
+                      std::string_view /*device*/) {
   std::string key;
-  key.reserve(64 + spec.name.size() + device.size());
+  key.reserve(64 + spec.name.size());
   key += spec.name;
   key += '/';
   key += hex64(spec_fingerprint(spec));
@@ -110,217 +113,165 @@ std::string cache_key(const codegen::StencilSpec& spec,
     key += 'x';
     key += std::to_string(options.tile_block.ty);
   }
-  if (!device.empty()) {
-    key += '@';
-    key += device;
-  }
   return key;
 }
 
 KernelCache::KernelCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
-KernelCache::KernelPtr KernelCache::get_or_compile(
-    const codegen::StencilSpec& spec, const codegen::CodegenOptions& options,
-    std::string_view device) {
-  const std::string key = cache_key(spec, options, device);
-
-  std::promise<KernelPtr> promise;
+/// Single-flight lookup of `key` in `table`. A ready entry is validated
+/// (`poisoned` entries are counted, dropped and refilled) and served; an
+/// in-flight one is waited on; a missing one is filled by this caller:
+/// `make` runs outside the lock under the retry policy (inside `span` when
+/// non-null), every waiter gets its value or exception, and `store(value)`
+/// is what the table keeps — the caller always gets `value` itself.
+template <typename V, typename Poisoned, typename Make, typename Store>
+V KernelCache::get_or_fill(Table<V>& table, const std::string& key,
+                           const char* span, Poisoned poisoned, Make make,
+                           Store store) {
+  std::promise<V> promise;
   resilience::RetryPolicy retry;
   resilience::Clock* retry_clock = nullptr;
   {
     std::unique_lock lock(mu_);
     retry = retry_;
     retry_clock = retry_clock_;
-    auto it = entries_.find(key);
-    if (it != entries_.end() && it->second.ready) {
-      // Validate before serving: a poisoned entry (cache.insert corruption)
-      // must be detected here and healed by recompiling — it can never
-      // reach a launch.
-      KernelPtr cached = it->second.future.get();  // ready: no blocking
-      if (is_poisoned(cached)) {
-        ++stats_.poisoned;
-        lru_.erase(it->second.lru_it);
-        entries_.erase(it);
-        it = entries_.end();  // fall through to the miss path
-      } else {
-        ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+    auto it = table.entries.find(key);
+    if (it != table.entries.end() && it->second.ready) {
+      // Validate before serving: a poisoned entry must be detected here and
+      // healed by refilling — it can never reach a launch.
+      V cached = it->second.value;
+      if (!poisoned(cached)) {
+        ++(stats_.*table.hits);
+        table.lru.splice(table.lru.begin(), table.lru, it->second.lru_it);
         publish_counters_locked();
         return cached;
       }
+      ++stats_.poisoned;
+      table.lru.erase(it->second.lru_it);
+      table.entries.erase(it);
+      it = table.entries.end();  // fall through to the miss path
     }
-    if (it != entries_.end()) {
-      ++stats_.coalesced;
+    if (it != table.entries.end()) {
+      ++(stats_.*table.coalesced);
       publish_counters_locked();
-      std::shared_future<KernelPtr> future = it->second.future;
+      std::shared_future<V> future = it->second.future;
       lock.unlock();
       return future.get();
     }
-    ++stats_.misses;
+    ++(stats_.*table.misses);
     publish_counters_locked();
-    Entry entry;
-    entry.future = promise.get_future().share();
-    entries_.emplace(key, std::move(entry));
+    table.entries[key].future = promise.get_future().share();
   }
 
-  // Compile outside the lock: concurrent misses on *different* keys compile
-  // in parallel; concurrent requests for *this* key wait on the future.
-  // The fill is retried per set_retry(); the cache.insert fault point sits
-  // inside the retried unit so an injected insert failure is recoverable.
-  KernelPtr kernel;
+  // Fill outside the lock: concurrent misses on *different* keys fill in
+  // parallel; concurrent requests for *this* key wait on the future.
+  V value;
   resilience::RetryOutcome fill;
   try {
-    obs::ScopedSpan span("pipeline.cache.compile", "compile");
-    span.arg("key", key);
-    kernel = resilience::retry_call(
-        retry, retry_clock,
-        [&]() -> KernelPtr {
-          auto compiled = std::make_shared<const dsl::CompiledKernel>(
-              dsl::compile_kernel(spec, options));
-          resilience::fault_point("cache.insert", key);
-          return compiled;
-        },
-        &fill);
+    std::optional<obs::ScopedSpan> scope;
+    if (span != nullptr) {
+      scope.emplace(span, "compile");
+      scope->arg("key", key);
+    }
+    value = resilience::retry_call(retry, retry_clock, make, &fill);
   } catch (...) {
     // Hand the failure to every waiter, then forget the key so a later
     // request can retry.
     promise.set_exception(std::current_exception());
-    {
-      std::lock_guard lock(mu_);
-      stats_.fill_retries += fill.attempts > 0 ? fill.attempts - 1 : 0;
-      entries_.erase(key);
-      publish_counters_locked();
-    }
-    throw;
-  }
-  promise.set_value(kernel);
-
-  // A corruption fault poisons the *stored* entry only: the filling caller
-  // (and every coalesced waiter on the promise above) still gets the good
-  // kernel; the next lookup detects the poison and heals it.
-  const bool corrupt = resilience::fault_corrupt("cache.insert", key);
-
-  {
     std::lock_guard lock(mu_);
     stats_.fill_retries += fill.attempts > 0 ? fill.attempts - 1 : 0;
-    const auto it = entries_.find(key);
-    if (it != entries_.end() && !it->second.ready) {
-      // clear() may have dropped the entry mid-compile; only then is the
-      // key absent and the result simply not cached.
-      if (corrupt) {
-        auto bad = std::make_shared<dsl::CompiledKernel>(*kernel);
-        bad->regs_per_thread = -1;
-        std::promise<KernelPtr> poisoned;
-        poisoned.set_value(KernelPtr(std::move(bad)));
-        it->second.future = poisoned.get_future().share();
-      }
-      lru_.push_front(key);
-      it->second.lru_it = lru_.begin();
-      it->second.ready = true;
-      while (lru_.size() > capacity_) {
-        entries_.erase(lru_.back());
-        lru_.pop_back();
-        ++stats_.evictions;
-      }
-    }
+    table.entries.erase(key);
     publish_counters_locked();
+    throw;
   }
-  return kernel;
+  promise.set_value(value);
+  const V stored = store(value);
+
+  std::lock_guard lock(mu_);
+  stats_.fill_retries += fill.attempts > 0 ? fill.attempts - 1 : 0;
+  const auto it = table.entries.find(key);
+  if (it != table.entries.end() && !it->second.ready) {
+    // clear() may have dropped the entry mid-fill; only then is the key
+    // absent and the result simply not cached.
+    it->second.value = stored;
+    table.lru.push_front(key);
+    it->second.lru_it = table.lru.begin();
+    it->second.ready = true;
+    while (table.lru.size() > capacity_) {
+      // Dropping an entry only releases the cache's reference: a kernel or
+      // module a caller still holds stays alive (a module stays dlopened).
+      table.entries.erase(table.lru.back());
+      table.lru.pop_back();
+      ++(stats_.*table.evictions);
+    }
+  }
+  publish_counters_locked();
+  return value;
+}
+
+KernelCache::KernelPtr KernelCache::get_or_compile(
+    const codegen::StencilSpec& spec, const codegen::CodegenOptions& options,
+    std::string_view /*device*/) {
+  const std::string key = cache_key(spec, options);
+  // The cache.insert fault point sits inside the retried unit, so an
+  // injected insert failure is recoverable.
+  const auto compile = [&]() -> KernelPtr {
+    auto compiled = std::make_shared<const dsl::CompiledKernel>(
+        dsl::compile_kernel(spec, options));
+    resilience::fault_point("cache.insert", key);
+    return compiled;
+  };
+  // A corruption fault poisons the *stored* entry only: the filling caller
+  // (and every coalesced waiter) still gets the good kernel; the next
+  // lookup detects the poison and heals it.
+  const auto store = [&](const KernelPtr& kernel) -> KernelPtr {
+    if (!resilience::fault_corrupt("cache.insert", key)) return kernel;
+    auto bad = std::make_shared<dsl::CompiledKernel>(*kernel);
+    bad->regs_per_thread = -1;
+    return bad;
+  };
+  return get_or_fill(ir_, key, "pipeline.cache.compile", is_poisoned, compile,
+                     store);
 }
 
 exec::NativeModulePtr KernelCache::get_or_compile_native(
     const codegen::StencilSpec& spec, const codegen::CodegenOptions& options,
-    std::string_view device) {
+    std::string_view /*device*/) {
   const codegen::CodegenOptions canon = canonical_native_options(options);
-  const std::string key = cache_key(spec, canon, device) + "/native";
-
-  std::promise<exec::NativeModulePtr> promise;
-  resilience::RetryPolicy retry;
-  resilience::Clock* retry_clock = nullptr;
+  // The first attempt pins the fill's expected artifact stem before touching
+  // the toolchain: jit_compile's disk-warm reuse (fs::exists -> dlopen) may
+  // pick up an artifact older than the GC grace window that no ready entry
+  // references any more (its entry was evicted or cleared) — a concurrent
+  // gc_native_artifacts must not delete it mid-fill. The
+  // backend.compile fault point lives inside jit_compile, i.e. inside the
+  // retried unit.
   exec::JitConfig jit;
-  {
-    std::unique_lock lock(mu_);
-    retry = retry_;
-    retry_clock = retry_clock_;
-    jit = jit_;
-    auto it = native_entries_.find(key);
-    if (it != native_entries_.end()) {
-      if (it->second.ready) {
-        ++stats_.native_hits;
-        native_lru_.splice(native_lru_.begin(), native_lru_,
-                           it->second.lru_it);
-        publish_counters_locked();
-        return it->second.future.get();  // ready: no blocking
-      }
-      ++stats_.native_coalesced;
-      publish_counters_locked();
-      std::shared_future<exec::NativeModulePtr> future = it->second.future;
-      lock.unlock();
-      return future.get();
-    }
-    ++stats_.native_misses;
-    publish_counters_locked();
-    NativeEntry entry;
-    entry.future = promise.get_future().share();
-    native_entries_.emplace(key, std::move(entry));
-  }
-
-  // Pin the fill's expected artifact stem before touching the toolchain:
-  // jit_compile's disk-warm reuse (fs::exists -> dlopen) may pick up an
-  // artifact older than the GC grace window that no ready entry references
-  // any more (evicted while its device was quarantined) — a concurrent
-  // gc_native_artifacts must not delete it mid-fill.
-  const std::string stem = exec::artifact_stem(spec, canon, jit);
-  {
-    std::lock_guard lock(mu_);
-    ++native_inflight_stems_[stem];
-  }
-
-  // JIT outside the lock; same single-flight / retry shape as the IR path.
-  // The backend.compile fault point lives inside jit_compile, i.e. inside
-  // the retried unit.
-  exec::NativeModulePtr module;
-  resilience::RetryOutcome fill;
-  try {
-    module = resilience::retry_call(
-        retry, retry_clock,
-        [&]() -> exec::NativeModulePtr {
-          return exec::jit_compile(spec, canon, jit);
-        },
-        &fill);
-  } catch (...) {
-    promise.set_exception(std::current_exception());
-    {
+  std::string stem;
+  const auto compile = [&] {
+    if (stem.empty()) {
+      jit = jit_config();
+      stem = exec::artifact_stem(spec, canon, jit);
       std::lock_guard lock(mu_);
-      stats_.fill_retries += fill.attempts > 0 ? fill.attempts - 1 : 0;
-      native_entries_.erase(key);
-      unpin_stem_locked(stem);
-      publish_counters_locked();
+      ++native_inflight_stems_[stem];
     }
+    return exec::jit_compile(spec, canon, jit);
+  };
+  const auto unpin = [&] {
+    if (stem.empty()) return;
+    std::lock_guard lock(mu_);
+    if (--native_inflight_stems_[stem] == 0) native_inflight_stems_.erase(stem);
+  };
+  exec::NativeModulePtr module;
+  try {
+    module = get_or_fill(native_, cache_key(spec, canon) + "/native", nullptr,
+                         [](const auto& m) { return m == nullptr; }, compile,
+                         std::identity{});
+  } catch (...) {
+    unpin();
     throw;
   }
-  promise.set_value(module);
-
-  {
-    std::lock_guard lock(mu_);
-    stats_.fill_retries += fill.attempts > 0 ? fill.attempts - 1 : 0;
-    unpin_stem_locked(stem);
-    const auto it = native_entries_.find(key);
-    if (it != native_entries_.end() && !it->second.ready) {
-      native_lru_.push_front(key);
-      it->second.lru_it = native_lru_.begin();
-      it->second.ready = true;
-      while (native_lru_.size() > capacity_) {
-        // Dropping the entry only releases the cache's shared_ptr: a module
-        // an executor still runs stays dlopened until that reference dies.
-        native_entries_.erase(native_lru_.back());
-        native_lru_.pop_back();
-        ++stats_.native_evictions;
-      }
-    }
-    publish_counters_locked();
-  }
+  unpin();
   return module;
 }
 
@@ -343,22 +294,17 @@ std::size_t KernelCache::gc_native_artifacts() {
   {
     std::lock_guard lock(mu_);
     dir = exec::resolved_cache_dir(jit_);
-    for (const auto& [key, entry] : native_entries_) {
-      if (!entry.ready) continue;
-      const exec::NativeModulePtr module = entry.future.get();
-      if (module == nullptr) continue;
+    for (const auto& [key, entry] : native_.entries) {
+      if (!entry.ready || entry.value == nullptr) continue;
       // "<symbol>.<hash>.so" -> keep every "<symbol>.<hash>.*" sibling
       // (the .cpp kept next to the .so is a debugging aid).
-      std::string stem = fs::path(module->artifact_path()).filename().string();
-      if (stem.size() > 3 && stem.ends_with(".so")) {
-        stem.resize(stem.size() - 3);
-      }
-      live_stems.push_back(std::move(stem));
+      live_stems.push_back(
+          fs::path(entry.value->artifact_path()).stem().string());
     }
     // In-flight fills: their artifact may already exist on disk (disk-warm
     // reuse) with an old mtime; it is live even though no entry is ready.
-    for (const auto& kv : native_inflight_stems_) {
-      live_stems.push_back(kv.first);
+    for (const auto& pin : native_inflight_stems_) {
+      live_stems.push_back(pin.first);
     }
   }
 
@@ -369,14 +315,10 @@ std::size_t KernelCache::gc_native_artifacts() {
   for (const fs::directory_entry& de : fs::directory_iterator(dir, ec)) {
     if (!de.is_regular_file(ec)) continue;
     const std::string name = de.path().filename().string();
-    bool live = false;
-    for (const std::string& stem : live_stems) {
-      if (name.starts_with(stem)) {
-        live = true;
-        break;
-      }
-    }
-    if (live) continue;
+    const auto is_live = [&](const std::string& stem) {
+      return name.starts_with(stem);
+    };
+    if (std::ranges::any_of(live_stems, is_live)) continue;
     // Grace window: a file another thread/process just renamed into place
     // (or is about to dlopen) must not vanish under it.
     const fs::file_time_type mtime = fs::last_write_time(de.path(), ec);
@@ -384,12 +326,6 @@ std::size_t KernelCache::gc_native_artifacts() {
     if (fs::remove(de.path(), ec) && !ec) ++removed;
   }
   return removed;
-}
-
-void KernelCache::unpin_stem_locked(const std::string& stem) {
-  const auto it = native_inflight_stems_.find(stem);
-  if (it == native_inflight_stems_.end()) return;
-  if (--it->second == 0) native_inflight_stems_.erase(it);
 }
 
 void KernelCache::set_retry(resilience::RetryPolicy policy,
@@ -406,12 +342,12 @@ KernelCacheStats KernelCache::stats() const {
 
 std::size_t KernelCache::size() const {
   std::lock_guard lock(mu_);
-  return lru_.size();
+  return ir_.lru.size();
 }
 
 std::size_t KernelCache::native_size() const {
   std::lock_guard lock(mu_);
-  return native_lru_.size();
+  return native_.lru.size();
 }
 
 void KernelCache::clear() {
@@ -419,34 +355,31 @@ void KernelCache::clear() {
   // Drop ready entries only; an in-flight compile still owns its map slot
   // (erasing it would let a concurrent miss start a duplicate compile whose
   // publication then collides with the first one's).
-  for (const std::string& key : lru_) entries_.erase(key);
-  lru_.clear();
-  for (const std::string& key : native_lru_) native_entries_.erase(key);
-  native_lru_.clear();
+  for (const std::string& key : ir_.lru) ir_.entries.erase(key);
+  ir_.lru.clear();
+  for (const std::string& key : native_.lru) native_.entries.erase(key);
+  native_.lru.clear();
   stats_ = KernelCacheStats{};
 }
 
 void KernelCache::publish_counters_locked() const {
   obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();
   if (reg == nullptr) return;
-  reg->set("pipeline.cache.hits", static_cast<f64>(stats_.hits));
-  reg->set("pipeline.cache.misses", static_cast<f64>(stats_.misses));
-  reg->set("pipeline.cache.coalesced", static_cast<f64>(stats_.coalesced));
-  reg->set("pipeline.cache.evictions", static_cast<f64>(stats_.evictions));
-  reg->set("pipeline.cache.poisoned", static_cast<f64>(stats_.poisoned));
-  reg->set("pipeline.cache.fill_retries",
-           static_cast<f64>(stats_.fill_retries));
-  reg->set("pipeline.cache.size", static_cast<f64>(lru_.size()));
-  reg->set("pipeline.cache.native_hits",
-           static_cast<f64>(stats_.native_hits));
-  reg->set("pipeline.cache.native_misses",
-           static_cast<f64>(stats_.native_misses));
-  reg->set("pipeline.cache.native_coalesced",
-           static_cast<f64>(stats_.native_coalesced));
-  reg->set("pipeline.cache.native_evictions",
-           static_cast<f64>(stats_.native_evictions));
-  reg->set("pipeline.cache.native_size",
-           static_cast<f64>(native_lru_.size()));
+  const std::pair<std::string_view, u64> values[] = {
+      {"pipeline.cache.hits", stats_.hits},
+      {"pipeline.cache.misses", stats_.misses},
+      {"pipeline.cache.coalesced", stats_.coalesced},
+      {"pipeline.cache.evictions", stats_.evictions},
+      {"pipeline.cache.poisoned", stats_.poisoned},
+      {"pipeline.cache.fill_retries", stats_.fill_retries},
+      {"pipeline.cache.size", ir_.lru.size()},
+      {"pipeline.cache.native_hits", stats_.native_hits},
+      {"pipeline.cache.native_misses", stats_.native_misses},
+      {"pipeline.cache.native_coalesced", stats_.native_coalesced},
+      {"pipeline.cache.native_evictions", stats_.native_evictions},
+      {"pipeline.cache.native_size", native_.lru.size()},
+  };
+  for (const auto& [name, v] : values) reg->set(name, static_cast<f64>(v));
 }
 
 KernelCache& KernelCache::global() {

@@ -4,9 +4,13 @@
 // orders of magnitude more than a sampled launch, and the serving workloads
 // of the pipeline runtime compile the same handful of kernels over and over.
 // The cache keys on the *structure* of the spec (a 64-bit FNV-1a fingerprint
-// over name, inputs and every DAG node), the full CodegenOptions (pattern,
-// variant, constant, optimization toggles, warp width) and a device label,
-// so two structurally identical specs traced independently share one entry.
+// over name, inputs and every DAG node) and the full CodegenOptions
+// (pattern, variant, constant, optimization toggles, warp width), so two
+// structurally identical specs traced independently share one entry. The
+// device is not part of the key: compilation never sees it (it enters only
+// at launch), so every device target of a server shares one entry per
+// kernel. IR kernels and native modules live in two tables of the same
+// single-flight LRU, filled by one code path.
 //
 // Concurrency contract (single-flight): when several threads request the
 // same missing key at once, exactly one compiles while the rest block on a
@@ -14,11 +18,13 @@
 // without blocking. Eviction is LRU over ready entries only; in-flight
 // compiles are never evicted (the map may transiently exceed capacity).
 //
-// Observability: each compile runs under a ScopedSpan ("pipeline.cache
-// .compile") and hit/miss/eviction counters plus a size gauge are published
-// to the installed obs::MetricsRegistry (null fast path when none is).
+// Observability: each IR compile runs under a ScopedSpan ("pipeline.cache
+// .compile"; a native JIT fill has its own "exec.native.compile") and
+// hit/miss/eviction counters plus a size gauge are published to the
+// installed obs::MetricsRegistry (null fast path when none is).
 //
-// Resilience: the publication step is the `cache.insert` fault point. A
+// Resilience: an IR fill's publication step is the `cache.insert` fault
+// point (native fills have `backend.compile` inside jit_compile). A
 // kThrow rule fails the fill exactly like a compiler error (waiters get the
 // exception, the key is forgotten so a later request retries); a kCorrupt
 // rule poisons the *stored* entry while the filling caller still gets the
@@ -46,10 +52,11 @@ namespace ispb::pipeline {
 /// id and every node (kind, f32 bit pattern, input, offsets, operand ids).
 [[nodiscard]] u64 spec_fingerprint(const codegen::StencilSpec& spec);
 
-/// The full cache key: fingerprint + every CodegenOptions field + device.
+/// The full cache key: fingerprint + every CodegenOptions field. `device`
+/// is not part of the key (kept for callers that still pass one).
 [[nodiscard]] std::string cache_key(const codegen::StencilSpec& spec,
                                     const codegen::CodegenOptions& options,
-                                    std::string_view device);
+                                    std::string_view device = {});
 
 /// Monotonic cache counters. `coalesced` counts requests that arrived while
 /// the same key was compiling and waited for it instead of recompiling.
@@ -86,16 +93,18 @@ class KernelCache {
   KernelCache(const KernelCache&) = delete;
   KernelCache& operator=(const KernelCache&) = delete;
 
-  /// Returns the cached kernel for (spec, options, device), compiling it on
-  /// first use. Blocks only when another thread is already compiling the
-  /// same key. Rethrows the compiler's exception to every waiter.
+  /// Returns the cached kernel for (spec, options), compiling it on first
+  /// use. Blocks only when another thread is already compiling the same
+  /// key. Rethrows the compiler's exception to every waiter. `device` is not
+  /// part of the key.
   [[nodiscard]] KernelPtr get_or_compile(const codegen::StencilSpec& spec,
                                          const codegen::CodegenOptions& options,
                                          std::string_view device = {});
 
-  /// Returns the cached native module for (spec, options, device), JIT
-  /// compiling it on first use (exec::jit_compile under set_jit()'s config).
-  /// Same single-flight contract as get_or_compile. The key canonicalizes
+  /// Returns the cached native module for (spec, options), JIT compiling it
+  /// on first use (exec::jit_compile under set_jit()'s config). Same
+  /// single-flight contract as get_or_compile; `device` is not part of the
+  /// key either. The key canonicalizes
   /// options the C++ lowering ignores (kIspWarp folds to kIsp; warp width,
   /// optimize and row_blocks are IR-pipeline knobs), so variants that lower
   /// identically share one module. Eviction only drops the cache's
@@ -112,10 +121,10 @@ class KernelCache {
   /// ready native entry nor an in-flight native fill references and that
   /// are older than ~60 s (the grace window covers a concurrent compile's
   /// rename->dlopen gap). In-flight fills pin their expected artifact stem
-  /// explicitly: an old artifact about to be disk-warm reused by a failover
-  /// re-compile (e.g. after the entry was evicted while its device was
-  /// quarantined) must not vanish between the fill's existence check and
-  /// its dlopen. Returns the number of files removed.
+  /// explicitly: an old artifact about to be disk-warm reused by a
+  /// re-compile (e.g. after its entry was evicted) must not vanish between
+  /// the fill's existence check and its dlopen. Returns the number of files
+  /// removed.
   std::size_t gc_native_artifacts();
 
   [[nodiscard]] KernelCacheStats stats() const;
@@ -134,34 +143,45 @@ class KernelCache {
 
   /// Process-wide cache used by every PipelineExecutor run without its own
   /// cache (ExecutorConfig::cache == nullptr) and by the bench harness, so
-  /// identical (app, variant, device) compiles happen once per process.
+  /// identical (app, pattern, variant) compiles happen once per process.
   [[nodiscard]] static KernelCache& global();
 
  private:
-  struct Entry {
-    std::shared_future<KernelPtr> future;
-    std::list<std::string>::iterator lru_it;  ///< valid iff ready
-    bool ready = false;
-  };
-  struct NativeEntry {
-    std::shared_future<exec::NativeModulePtr> future;
-    std::list<std::string>::iterator lru_it;  ///< valid iff ready
-    bool ready = false;
+  /// One single-flight LRU: entries by key, ready keys in LRU order, and
+  /// the stats fields its lookups count into.
+  template <typename V>
+  struct Table {
+    struct Entry {
+      std::shared_future<V> future;  ///< what coalesced waiters get
+      V value;  ///< what lookups serve; valid iff ready
+      std::list<std::string>::iterator lru_it;  ///< valid iff ready
+      bool ready = false;
+    };
+    using Counter = u64 KernelCacheStats::*;
+    Table(Counter h, Counter m, Counter c, Counter e)
+        : hits(h), misses(m), coalesced(c), evictions(e) {}
+    const Counter hits, misses, coalesced, evictions;
+    std::unordered_map<std::string, Entry> entries;
+    std::list<std::string> lru;  ///< most recently used first; ready keys only
   };
 
+  /// The one lookup/fill path of both tables (see kernel_cache.cpp).
+  template <typename V, typename Poisoned, typename Make, typename Store>
+  V get_or_fill(Table<V>& table, const std::string& key, const char* span,
+                Poisoned poisoned, Make make, Store store);
+
   void publish_counters_locked() const;
-  /// Drops one pin on an in-flight fill's expected artifact stem.
-  void unpin_stem_locked(const std::string& stem);
 
   const std::size_t capacity_;
   mutable std::mutex mu_;
   resilience::RetryPolicy retry_;  ///< guarded by mu_
   resilience::Clock* retry_clock_ = nullptr;  ///< guarded by mu_
   exec::JitConfig jit_;  ///< guarded by mu_
-  std::unordered_map<std::string, Entry> entries_;
-  std::list<std::string> lru_;  ///< most recently used first; ready keys only
-  std::unordered_map<std::string, NativeEntry> native_entries_;
-  std::list<std::string> native_lru_;
+  using S = KernelCacheStats;
+  Table<KernelPtr> ir_{&S::hits, &S::misses, &S::coalesced, &S::evictions};
+  Table<exec::NativeModulePtr> native_{&S::native_hits, &S::native_misses,
+                                       &S::native_coalesced,
+                                       &S::native_evictions};
   /// Artifact stems of in-flight native fills (stem -> fill count), pinned
   /// against gc_native_artifacts until the fill publishes or fails.
   std::unordered_map<std::string, u32> native_inflight_stems_;

@@ -192,7 +192,7 @@ struct ServerConfig {
   std::size_t queue_capacity = 64;  ///< pending requests before rejection
   /// Executor template for every target; executor.sim.device is replaced
   /// by each target's device. executor.cache (when set) is shared by all
-  /// targets — cache keys are device-scoped already.
+  /// targets, and so are its entries: cache keys carry no device.
   ExecutorConfig executor = serving_executor_config();
   /// When true the workers start idle; queued requests run only after
   /// resume(). Gives tests deterministic control over overflow and

@@ -320,6 +320,29 @@ TEST(KernelCacheNative, SingleFlightUnderThreadHammer) {
   EXPECT_EQ(stats.native_hits + stats.native_coalesced, 7u);
 }
 
+// The device is not part of the native key: a second device target finds
+// the module the first one filled.
+TEST(KernelCacheNative, OneModuleForEveryDevice) {
+  const TempDir dir("device");
+  pipeline::KernelCache cache;
+  cache.set_jit(fast_jit(dir));
+  const filters::MultiKernelApp app = filters::make_gaussian_app();
+  const codegen::StencilSpec& spec = app.stages.front().spec;
+  codegen::CodegenOptions opt;
+  opt.variant = codegen::Variant::kIsp;
+
+  const exec::NativeModulePtr gtx =
+      cache.get_or_compile_native(spec, opt, "GTX680");
+  const exec::NativeModulePtr rtx =
+      cache.get_or_compile_native(spec, opt, "RTX2080");
+  ASSERT_NE(gtx, nullptr);
+  EXPECT_EQ(gtx.get(), rtx.get());
+  const pipeline::KernelCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.native_misses, 1u);
+  EXPECT_EQ(stats.native_hits, 1u);
+  EXPECT_EQ(cache.native_size(), 1u);
+}
+
 // Satellite: LRU eviction only drops the cache's shared_ptr — a module an
 // executor still holds stays dlopened (and runnable) until the last
 // reference goes, then dlcloses.

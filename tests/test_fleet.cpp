@@ -416,6 +416,41 @@ TEST(FleetServer, PinnedRequestsLandOnTheNamedDevice) {
   server.shutdown();
 }
 
+// ---- one cache entry per kernel for every target --------------------------
+
+TEST(FleetServer, TargetsShareOneCacheEntryPerKernel) {
+  const auto app = filters::make_sobel_app();
+  const auto graph = make_graph(app);
+  // 64 wide: no 32-wide block straddles both borders, so no naive twins.
+  const auto src = make_source(64);
+  pipeline::KernelCache cache;
+  pipeline::ServerConfig cfg = two_device_config();
+  cfg.executor.cache = &cache;
+  cfg.executor.backend = exec::Backend::kInterpreted;
+
+  pipeline::PipelineServer server(cfg);
+  std::vector<pipeline::ServeResponse> responses;
+  for (const char* device : {"GTX680", "RTX2080"}) {
+    pipeline::ServeRequest pinned = make_request(graph, src);
+    pinned.pin_device = device;
+    responses.push_back(server.submit(pinned).get());
+    ASSERT_EQ(responses.back().status, pipeline::ServeStatus::kOk)
+        << responses.back().error;
+    EXPECT_EQ(responses.back().device, device);
+    EXPECT_EQ(responses.back().variant_used, codegen::Variant::kIsp);
+  }
+  server.shutdown();
+
+  EXPECT_EQ(compare(responses[0].output, responses[1].output).max_abs, 0.0);
+  EXPECT_EQ(compare(responses[0].output, filters::run_app_reference(
+                                             app, *src, BorderPattern::kClamp))
+                .max_abs,
+            0.0);
+  // Sobel's three kernels fill once; the second device only hits.
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.size(), 3u);
+}
+
 // ---- a probe cut by its deadline is not a verdict --------------------------
 
 TEST(FleetServer, DeadlineCutProbeLeavesDeviceHalfOpen) {

@@ -57,7 +57,17 @@ TEST(CacheKey, CoversOptionsAndDevice) {
   EXPECT_NE(base, pipeline::cache_key(spec, opts(Variant::kNaive), ""));
   EXPECT_NE(base, pipeline::cache_key(
                       spec, opts(Variant::kIsp, BorderPattern::kMirror), ""));
-  EXPECT_NE(base, pipeline::cache_key(spec, opts(Variant::kIsp), "rtx2080"));
+}
+
+// Compilation never sees the device, so neither does the key: every device
+// target of a server shares one entry per kernel.
+TEST(CacheKey, DeviceIsNotPartOfTheKey) {
+  const auto spec = filters::gaussian_spec(3);
+  const CodegenOptions o = opts(Variant::kIsp);
+  EXPECT_EQ(pipeline::cache_key(spec, o, "GTX680"),
+            pipeline::cache_key(spec, o, ""));
+  EXPECT_EQ(pipeline::cache_key(spec, o, "rtx2080"),
+            pipeline::cache_key(spec, o));
 }
 
 // ---- cache hit/miss/LRU -----------------------------------------------------
@@ -354,6 +364,24 @@ TEST(PipelineExecutor, DegenerateFallbackFetchesNaiveTwinFromCache) {
   EXPECT_EQ(run.variant_used, Variant::kNaive);
   EXPECT_EQ(cache.stats().misses, misses);
   EXPECT_EQ(compare(out, second.output).max_abs, 0.0);
+
+  // Registers are reported for the kernel that ran — the naive twin — on
+  // the cached path and on the no-cache path that compiles its own twin.
+  const i32 naive_regs =
+      dsl::compile_kernel(graph.stages[0].spec, opts(Variant::kNaive))
+          .regs_per_thread;
+  ASSERT_NE(dsl::compile_kernel(graph.stages[0].spec, opts(Variant::kIsp))
+                .regs_per_thread,
+            naive_regs);
+  EXPECT_EQ(second.stages[0].regs_per_thread, naive_regs);
+  EXPECT_EQ(run.regs_per_thread, naive_regs);
+  Image<f32> uncached_out(src.size());
+  const exec::BackendRun uncached = exec::InterpretedBackend(nullptr).run(
+      graph.stages[0].spec, opts(Variant::kIsp), cfg.sim.device, inputs,
+      uncached_out, cfg.sim.block, false);
+  EXPECT_TRUE(uncached.degenerate_fallback);
+  EXPECT_EQ(uncached.regs_per_thread, naive_regs);
+  EXPECT_EQ(compare(uncached_out, second.output).max_abs, 0.0);
 }
 
 // ---- server -----------------------------------------------------------------
