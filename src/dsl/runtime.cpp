@@ -31,8 +31,6 @@ CompiledKernel compile_kernel(const codegen::StencilSpec& spec,
   return k;
 }
 
-namespace {
-
 void validate_geometry(const codegen::StencilSpec& spec,
                        BorderPattern pattern,
                        std::span<const Image<f32>* const> inputs,
@@ -55,8 +53,6 @@ void validate_geometry(const codegen::StencilSpec& spec,
         std::to_string(out_size.x) + "x" + std::to_string(out_size.y));
   }
 }
-
-}  // namespace
 
 sim::ParamMap build_params(const ir::Program& prog, Size2 image,
                            std::span<const Image<f32>* const> inputs,

@@ -23,6 +23,13 @@ struct CompiledKernel {
 [[nodiscard]] CompiledKernel compile_kernel(const codegen::StencilSpec& spec,
                                             const codegen::CodegenOptions& options);
 
+/// The geometry contract of every launch, on every engine: one input per
+/// spec input, each the size of the output, and under Mirror a window radius
+/// no larger than the image (single reflection). Throws ContractError.
+void validate_geometry(const codegen::StencilSpec& spec, BorderPattern pattern,
+                       std::span<const Image<f32>* const> inputs,
+                       Size2 out_size);
+
 /// Outcome of a simulated launch.
 struct SimRun {
   sim::LaunchStats stats;

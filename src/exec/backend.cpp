@@ -13,35 +13,6 @@
 
 namespace ispb::exec {
 
-namespace {
-
-/// Same geometry contract as dsl::launch_on_sim (validate_geometry): the
-/// native path must reject exactly what the interpreted path rejects, so a
-/// backend switch can never turn a ContractError into silent corruption.
-void validate_geometry(const codegen::StencilSpec& spec, BorderPattern pattern,
-                       std::span<const Image<f32>* const> inputs,
-                       Size2 out_size) {
-  ISPB_EXPECTS(static_cast<i32>(inputs.size()) == spec.num_inputs);
-  for (const Image<f32>* img : inputs) {
-    ISPB_EXPECTS(img != nullptr);
-    if (img->size() != out_size) {
-      throw ContractError("input/output size mismatch in kernel '" +
-                          spec.name + "'");
-    }
-  }
-  const Window w = spec.window();
-  if (pattern == BorderPattern::kMirror &&
-      (w.radius_x() > out_size.x || w.radius_y() > out_size.y)) {
-    throw ContractError(
-        "Mirror border handling requires the window radius to fit the image "
-        "(single reflection); got window " +
-        std::to_string(w.m) + "x" + std::to_string(w.n) + " on image " +
-        std::to_string(out_size.x) + "x" + std::to_string(out_size.y));
-  }
-}
-
-}  // namespace
-
 std::string_view to_string(Backend b) {
   return b == Backend::kNative ? "native" : "interp";
 }
@@ -130,7 +101,7 @@ BackendRun NativeBackend::run(const codegen::StencilSpec& spec,
                               std::span<const Image<f32>* const> inputs,
                               Image<f32>& output, BlockSize /*block*/,
                               bool /*sampled*/) {
-  validate_geometry(spec, options.pattern, inputs, output.size());
+  dsl::validate_geometry(spec, options.pattern, inputs, output.size());
 
   NativeModulePtr module;
   if (cache_ != nullptr) {

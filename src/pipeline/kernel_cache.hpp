@@ -43,6 +43,7 @@
 #include <unordered_map>
 
 #include "dsl/runtime.hpp"
+#include "exec/backend.hpp"
 #include "exec/jit.hpp"
 #include "resilience/retry.hpp"
 
@@ -58,8 +59,25 @@ namespace ispb::pipeline {
                                     const codegen::CodegenOptions& options,
                                     std::string_view device = {});
 
-/// Monotonic cache counters. `coalesced` counts requests that arrived while
-/// the same key was compiling and waited for it instead of recompiling.
+/// Lookup counters of one table of the cache. `coalesced` counts requests
+/// that arrived while the same key was compiling and waited for it instead
+/// of recompiling.
+struct CacheTableCounters {
+  u64 hits = 0;
+  u64 misses = 0;  ///< actual compiles
+  u64 coalesced = 0;
+  u64 evictions = 0;
+  /// Fraction of lookups served without compiling (coalesced waits count as
+  /// served). 0 when there were no lookups.
+  [[nodiscard]] f64 hit_rate() const {
+    const u64 total = hits + coalesced + misses;
+    return total == 0 ? 0.0 : static_cast<f64>(hits + coalesced) /
+                                  static_cast<f64>(total);
+  }
+};
+
+/// Monotonic cache counters: the IR-kernel table's in the plain fields, the
+/// native-module table's in the `native_*` ones.
 struct KernelCacheStats {
   u64 hits = 0;
   u64 misses = 0;  ///< actual compiles
@@ -73,12 +91,17 @@ struct KernelCacheStats {
   u64 native_misses = 0;  ///< actual JIT compiles (or disk-artifact loads)
   u64 native_coalesced = 0;
   u64 native_evictions = 0;
-  /// Fraction of lookups served without compiling (coalesced waits count as
-  /// served). 0 when there were no lookups.
+  /// The counters of the table `backend` looks up: IR kernels for the
+  /// interpreted engine, native modules for the native one.
+  [[nodiscard]] CacheTableCounters of(exec::Backend backend) const {
+    if (backend == exec::Backend::kNative) {
+      return {native_hits, native_misses, native_coalesced, native_evictions};
+    }
+    return {hits, misses, coalesced, evictions};
+  }
+  /// hit_rate of the IR-kernel table.
   [[nodiscard]] f64 hit_rate() const {
-    const u64 total = hits + coalesced + misses;
-    return total == 0 ? 0.0 : static_cast<f64>(hits + coalesced) /
-                                  static_cast<f64>(total);
+    return of(exec::Backend::kInterpreted).hit_rate();
   }
 };
 

@@ -14,11 +14,12 @@ namespace {
 
 struct CmdResult {
   int exit_code = -1;
-  std::string output;  // stdout + stderr interleaved
+  std::string output;  // stdout + stderr interleaved, unless stderr is dropped
 };
 
-CmdResult run_cmd(const std::string& args) {
-  const std::string cmd = std::string(ISPB_RUN_PATH) + " " + args + " 2>&1";
+/// `stderr_to` " 2>/dev/null" captures stdout alone.
+CmdResult run_cmd(const std::string& args, const char* stderr_to = " 2>&1") {
+  const std::string cmd = std::string(ISPB_RUN_PATH) + " " + args + stderr_to;
   CmdResult result;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -87,6 +88,16 @@ TEST(IspbRunCli, AnalyzeCostCalibratesAndEmitsJsonReport) {
   }
 }
 
+TEST(IspbRunCli, AnalyzeCostBareJsonIsOneDocumentOnStdout) {
+  const CmdResult r = run_cmd(
+      "analyze --cost --app=gaussian --pattern=clamp --size=64 --json",
+      " 2>/dev/null");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const ispb::obs::Json report = ispb::obs::Json::parse(r.output);
+  ASSERT_NE(report.find("ok_verdict"), nullptr) << r.output;
+  EXPECT_TRUE(report.find("ok_verdict")->as_bool()) << r.output;
+}
+
 TEST(IspbRunCli, HelpListsAllSubcommands) {
   const CmdResult r = run_cmd("help");
   EXPECT_EQ(r.exit_code, 0);
@@ -122,6 +133,42 @@ TEST(IspbRunCli, ChaosEmitsJsonReport) {
     EXPECT_NE(r.output.find(field), std::string::npos)
         << field << "\n" << r.output;
   }
+}
+
+TEST(IspbRunCli, ChaosReportHasOneShapeInBothModes) {
+  // One driver: the single-target and the device run report the same
+  // totals, whichever counters their mode can move.
+  std::vector<std::vector<std::string>> key_sets;
+  for (const char* cmd :
+       {"chaos --schedules=1 --requests=1 --json",
+        "chaos --devices=gtx680,rtx2080 --device-fault=kill --schedules=1 "
+        "--requests=1 --json"}) {
+    // Bare --json: stdout is the report alone (the verdict is on stderr).
+    const CmdResult r = run_cmd(cmd, " 2>/dev/null");
+    ASSERT_EQ(r.exit_code, 0) << cmd << "\n" << r.output;
+    const ispb::obs::Json report = ispb::obs::Json::parse(r.output);
+    ASSERT_NE(report.find("ok_verdict"), nullptr) << r.output;
+    EXPECT_TRUE(report.find("ok_verdict")->as_bool()) << r.output;
+    const ispb::obs::Json* totals = report.find("totals");
+    ASSERT_TRUE(totals != nullptr && totals->is_object()) << r.output;
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : totals->members()) keys.push_back(key);
+    key_sets.push_back(std::move(keys));
+  }
+  EXPECT_EQ(key_sets[0], key_sets[1]);
+}
+
+TEST(IspbRunCli, NativeServeReportsTheNativeCacheTable) {
+  // The default engine is native: its module table is the one that served,
+  // so repeated requests must show up as cache hits.
+  const CmdResult r = run_cmd(
+      "serve --requests=4 --concurrency=2 --size=64 --json");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const ispb::obs::Json report = ispb::obs::Json::parse(r.output);
+  EXPECT_EQ(report.find("backend")->as_string(), "native") << r.output;
+  const ispb::obs::Json* cache = report.find("cache");
+  ASSERT_NE(cache, nullptr) << r.output;
+  EXPECT_GT(cache->find("hit_rate")->as_number(), 0.0) << r.output;
 }
 
 TEST(IspbRunCli, ServeEmitsJsonReport) {

@@ -519,5 +519,43 @@ TEST(Backend, ParseAndToStringRoundTrip) {
   }
 }
 
+TEST(Backend, BothEnginesRejectTheSameGeometry) {
+  // One geometry contract (dsl::validate_geometry) on both engines: a
+  // backend switch can never turn a ContractError into silent corruption.
+  const TempDir dir("geometry");
+  exec::InterpretedBackend interp;
+  exec::NativeBackend native(nullptr, fast_jit(dir));
+  const sim::DeviceSpec device = sim::make_gtx680();
+  codegen::CodegenOptions options;
+  options.pattern = BorderPattern::kMirror;
+
+  // Mirror with a window radius (5) beyond the 3x3 image.
+  codegen::SpecBuilder wide_builder("wide");
+  const codegen::StencilSpec wide =
+      wide_builder.finish(wide_builder.read(0, -5, 0));
+  const Image<f32> tiny(3, 3);
+  Image<f32> tiny_out(3, 3);
+  const Image<f32>* tiny_inputs[] = {&tiny};
+
+  // Input 8x8 feeding a 9x9 output.
+  codegen::SpecBuilder point_builder("point");
+  const codegen::StencilSpec point =
+      point_builder.finish(point_builder.read(0, 0, 0));
+  const Image<f32> small(8, 8);
+  Image<f32> larger_out(9, 9);
+  const Image<f32>* small_inputs[] = {&small};
+
+  for (exec::ExecutionBackend* backend :
+       std::initializer_list<exec::ExecutionBackend*>{&interp, &native}) {
+    SCOPED_TRACE(std::string(exec::to_string(backend->kind())));
+    EXPECT_THROW((void)backend->run(wide, options, device, tiny_inputs,
+                                    tiny_out, BlockSize{32, 4}, false),
+                 ContractError);
+    EXPECT_THROW((void)backend->run(point, options, device, small_inputs,
+                                    larger_out, BlockSize{32, 4}, false),
+                 ContractError);
+  }
+}
+
 }  // namespace
 }  // namespace ispb

@@ -57,25 +57,30 @@
 //              serve measures one closed batch; sustained open-loop load is
 //              measured by the benchmark in perfbench/ (see README).
 //
-//   chaos      resilience harness: run N seeded fault schedules (deterministic
-//              FaultPlans over compile/cache/executor/server/launcher fault
-//              points) against the 5-app x 4-pattern serving matrix and
-//              assert the invariants — every future settles, no deadlock,
-//              and every kOk response bit-identical to the CPU reference.
-//              Exit 1 names the dominant fault point when a schedule serves
-//              nothing but failures:
+//   chaos      resilience harness: run N seeded fault schedules against the
+//              5-app x 4-pattern serving matrix and assert the invariants —
+//              every future settles, no deadlock, every kOk response
+//              bit-identical to the CPU reference, every error traced to an
+//              injected fault, and at least one success per schedule. One
+//              target by default, under FaultPlan::chaos over the compile /
+//              cache / executor / server / launcher fault points; exit 1
+//              names the dominant fault point when a schedule serves nothing
+//              but failures:
 //
 //     ispb_run chaos [--schedules=64] [--seed=1] [--requests=2] [--size=64]
-//              [--deadline-ms=0] [--force-fail=POINT] [--json]
+//              [--deadline-ms=0] [--force-fail=POINT] [--variant=V] [--json]
 //
-//              With --devices the harness switches to device chaos: seeded
-//              device-level fault schedules (--device-fault=kill|flap|
-//              stall|mix) kill, flap or stall whole devices mid-load while
-//              the server sheds, fails over and probes them back,
-//              asserting the same invariants plus post-fault re-convergence:
+//              --devices gives one target per device instead, under seeded
+//              device-level schedules (--device-fault=kill|flap|stall|mix)
+//              that kill, flap or stall whole devices mid-load while the
+//              server sheds, fails over and probes them back; flapped
+//              devices must re-converge. Same loop, checks and report:
 //
 //     ispb_run chaos --devices=gtx680,rtx2080 [--device-fault=mix]
 //              [--shed-tiers=3] [--schedules=32] [--seed=1] [--requests=4]
+//
+//              With a bare --json, chaos and analyze --cost print the report
+//              alone on stdout and their verdict line on stderr.
 //
 //   help       print this overview.
 #include <algorithm>
@@ -217,6 +222,21 @@ void write_text_file(const std::string& path, const std::string& text) {
   if (!out) throw IoError("cannot open '" + path + "' for writing");
   out << text << "\n";
   if (!out) throw IoError("write to '" + path + "' failed");
+}
+
+/// Prints the first `max_printed` violations to stderr as "<label>
+/// violation: ..." and a "<verdict>: N violation(s)" line; returns exit 1.
+int print_violations(const std::vector<std::string>& violations,
+                     std::string_view label, std::string_view verdict,
+                     std::size_t max_printed) {
+  for (std::size_t i = 0; i < violations.size() && i < max_printed; ++i) {
+    std::cerr << label << " violation: " << violations[i] << "\n";
+  }
+  if (violations.size() > max_printed) {
+    std::cerr << "... and " << violations.size() - max_printed << " more\n";
+  }
+  std::cerr << verdict << ": " << violations.size() << " violation(s)\n";
+  return 1;
 }
 
 /// Shared option set of the subcommands that drive the app pipeline.
@@ -664,18 +684,12 @@ int run_analyze_cost(const Cli& cli) {
   }
 
   if (!violations.empty()) {
-    constexpr std::size_t kMaxPrinted = 16;
-    for (std::size_t i = 0; i < violations.size() && i < kMaxPrinted; ++i) {
-      std::cerr << "calibration violation: " << violations[i] << "\n";
-    }
-    if (violations.size() > kMaxPrinted) {
-      std::cerr << "... and " << violations.size() - kMaxPrinted << " more\n";
-    }
-    std::cerr << "CALIBRATION FAILED: " << violations.size()
-              << " violation(s)\n";
-    return 1;
+    return print_violations(violations, "calibration", "CALIBRATION FAILED",
+                            16);
   }
-  std::cout << "static counters match the simulator on every exact region\n";
+  // Bare --json keeps stdout one JSON document: the verdict goes to stderr.
+  (json_arg == "true" ? std::cerr : std::cout)
+      << "static counters match the simulator on every exact region\n";
   return 0;
 }
 
@@ -1061,6 +1075,8 @@ int run_serve(int argc, char** argv) {
       wall_ms > 0.0 ? static_cast<f64>(stats.completed) / (wall_ms / 1000.0)
                     : 0.0;
   const pipeline::KernelCacheStats cache_stats = cache.stats();
+  // The cache keeps one table per engine; the hit rate is the one that served.
+  const pipeline::CacheTableCounters served = cache_stats.of(backend);
   std::string device_names;
   for (const pipeline::TargetStats& d : stats.devices) {
     device_names += (device_names.empty() ? "" : "+") + d.device;
@@ -1123,7 +1139,7 @@ int run_serve(int argc, char** argv) {
   cache_json["misses"] = cache_stats.misses;
   cache_json["coalesced"] = cache_stats.coalesced;
   cache_json["evictions"] = cache_stats.evictions;
-  cache_json["hit_rate"] = cache_stats.hit_rate();
+  cache_json["hit_rate"] = served.hit_rate();
   cache_json["native_hits"] = cache_stats.native_hits;
   cache_json["native_misses"] = cache_stats.native_misses;
   cache_json["native_coalesced"] = cache_stats.native_coalesced;
@@ -1160,11 +1176,9 @@ int run_serve(int argc, char** argv) {
   table.add_row({"latency p50 ms", pct_cell(50.0)});
   table.add_row({"latency p95 ms", pct_cell(95.0)});
   table.add_row({"latency p99 ms", pct_cell(99.0)});
-  table.add_row({"cache hits / misses", std::to_string(cache_stats.hits) +
-                                            " / " +
-                                            std::to_string(cache_stats.misses)});
-  table.add_row(
-      {"cache hit rate", AsciiTable::num(cache_stats.hit_rate(), 3)});
+  table.add_row({"cache hits / misses", std::to_string(served.hits) + " / " +
+                                            std::to_string(served.misses)});
+  table.add_row({"cache hit rate", AsciiTable::num(served.hit_rate(), 3)});
   for (const pipeline::TargetStats& d : stats.devices) {
     table.add_row({"routed -> " + d.device, std::to_string(d.routed)});
   }
@@ -1185,338 +1199,50 @@ std::string injected_point(const std::string& error) {
   return error.substr(start, end - start);
 }
 
-/// `chaos --devices=...`: device-level chaos. Each seeded schedule
-/// afflicts all but one seed-chosen device with kill / flap / stall faults
-/// (FaultPlan::device_chaos) and drives the 5-app x 4-pattern matrix
-/// across the devices, asserting:
-///   - every future settles (60 s cap -> hard exit, likely deadlock);
-///   - every kOk answer is bit-identical to the CPU reference, failover
-///     re-dispatches and browned-out (kNaive) responses included;
-///   - errors only ever trace back to injected fault points;
-///   - every schedule completes at least one request (the survivor device
-///     absorbs the load);
-///   - flapped devices re-converge: once their faults clear, a half-open
-///     probe must restore routing to them (asserted per schedule).
-int run_chaos_devices(const Cli& cli, i32 schedules, u64 seed_base,
-                    i32 requests, i32 size, f64 deadline_ms,
-                    std::vector<sim::DeviceSpec> devices,
-                    const std::string& mode, u32 shed_tiers) {
-  if (mode != "kill" && mode != "flap" && mode != "stall" && mode != "mix") {
-    throw IoError("unknown --device-fault '" + mode +
-                  "' (kill|flap|stall|mix)");
+/// Waits for a chaos future. A simulated launch takes milliseconds, so one
+/// still pending after 60 s means deadlock: exit hard, because unwinding
+/// would block on the hung server.
+pipeline::ServeResponse settle_or_exit(
+    std::future<pipeline::ServeResponse>& future, const std::string& what) {
+  if (future.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::cerr << "chaos violation: " << what
+              << " did not settle within 60s — likely deadlock\n";
+    std::_Exit(1);
   }
-  if (devices.size() < 2) {
-    throw IoError("device chaos needs --devices with >= 2 entries "
-                  "(one always survives)");
-  }
-  std::vector<std::string> device_names;
-  for (const sim::DeviceSpec& d : devices) device_names.push_back(d.name);
-
-  const std::vector<filters::MultiKernelApp> apps = filters::all_apps();
-  const f32 border_constant = 32.5f;
-  const Image<f32> source_img = make_noise_image({size, size}, 4242);
-  const auto source = std::make_shared<const Image<f32>>(source_img);
-
-  struct Combo {
-    const filters::MultiKernelApp* app;
-    BorderPattern pattern;
-    std::shared_ptr<const pipeline::KernelGraph> graph;
-    Image<f32> reference;
-  };
-  std::vector<Combo> combos;
-  for (const filters::MultiKernelApp& app : apps) {
-    const auto graph = std::make_shared<const pipeline::KernelGraph>(
-        pipeline::build_graph(app));
-    for (BorderPattern pattern : kAllBorderPatterns) {
-      combos.push_back({&app, pattern, graph,
-                        filters::run_app_reference(app, source_img, pattern,
-                                                   border_constant)});
-    }
-  }
-
-  u64 total_requests = 0;
-  u64 ok = 0, errors = 0, expired = 0, rejected = 0, shed = 0;
-  u64 browned = 0, failovers = 0, quarantines = 0, recoveries = 0;
-  std::map<std::string, u64> fires_by_point;
-  std::map<std::string, u64> error_points;
-  std::vector<std::string> violations;
-
-  for (i32 s = 0; s < schedules; ++s) {
-    const u64 seed = seed_base + static_cast<u64>(s);
-    const resilience::FaultPlan plan =
-        resilience::FaultPlan::device_chaos(seed, device_names, mode);
-    resilience::VirtualClock vclock;  // delays and cooldowns: free
-    resilience::FaultInjector injector(plan, &vclock);
-    resilience::FaultInjector::ScopedInstall install(injector);
-
-    // Which devices flap (their launch faults clear after max_fires)? Those
-    // are the ones the re-convergence assertion applies to.
-    std::vector<std::string> flapped;
-    for (const resilience::FaultRule& rule : plan.rules) {
-      if (rule.point == "device.launch" &&
-          rule.kind == resilience::FaultKind::kThrow && rule.max_fires > 0) {
-        flapped.push_back(rule.match);
-      }
-    }
-
-    u64 schedule_ok = 0;
-    for (const Combo& combo : combos) {
-      // Fresh cache per combo: every combo exercises the fill path and no
-      // module state leaks between schedules.
-      pipeline::KernelCache cache;
-
-      // Two workers and max(requests, 4) queue slots per device.
-      pipeline::ServerConfig server_cfg;
-      server_cfg.devices = devices;
-      server_cfg.workers = 2 * static_cast<i32>(devices.size());
-      server_cfg.queue_capacity =
-          static_cast<std::size_t>(std::max(requests, 4)) * devices.size();
-      server_cfg.executor.sim.pattern = combo.pattern;
-      server_cfg.executor.sim.constant = border_constant;
-      server_cfg.executor.cache = &cache;
-      // Device health is the resilience layer under test here: per-kernel
-      // breakers and retries stay off so an injected device fault surfaces
-      // as a device error and exercises failover, not the kernel fallback.
-      server_cfg.breakers_enabled = false;
-      server_cfg.device_breaker.failure_threshold = 2;
-      server_cfg.device_breaker.open_cooldown_ms = 50;
-      server_cfg.admission = pipeline::AdmissionConfig{.tiers = shed_tiers};
-      server_cfg.clock = &vclock;
-
-      pipeline::PipelineServer server(server_cfg);
-      std::vector<std::future<pipeline::ServeResponse>> futures;
-      futures.reserve(static_cast<std::size_t>(requests));
-      for (i32 i = 0; i < requests; ++i) {
-        pipeline::ServeRequest req;
-        req.graph = combo.graph;
-        req.source = source;
-        req.deadline_ms = deadline_ms;
-        req.tier = static_cast<u32>(i) % shed_tiers;
-        futures.push_back(server.submit(std::move(req)));
-      }
-
-      for (auto& f : futures) {
-        ++total_requests;
-        // Invariant: every future settles; 60 s for a simulated launch
-        // means deadlock.
-        if (f.wait_for(std::chrono::seconds(60)) !=
-            std::future_status::ready) {
-          std::cerr << "chaos violation: request did not settle within "
-                    << "60s (seed " << seed << ", " << combo.app->name << "/"
-                    << to_string(combo.pattern) << ") — likely deadlock\n";
-          std::_Exit(1);  // unwinding would block on the hung server
-        }
-        const pipeline::ServeResponse resp = f.get();
-        switch (resp.status) {
-          case pipeline::ServeStatus::kOk: {
-            ++ok;
-            ++schedule_ok;
-            if (resp.browned_out) ++browned;
-            if (resp.dispatches > 1) ++failovers;
-            // Invariant: bit identity — failover re-dispatches and
-            // browned-out kNaive responses included.
-            const CompareResult diff = compare(resp.output, combo.reference);
-            if (diff.max_abs != 0.0) {
-              violations.push_back(
-                  "seed " + std::to_string(seed) + ": " + combo.app->name +
-                  "/" + std::string(to_string(combo.pattern)) + " kOk on " +
-                  resp.device + " diverges from reference (max abs " +
-                  std::to_string(diff.max_abs) + ")");
-            }
-            break;
-          }
-          case pipeline::ServeStatus::kError: {
-            ++errors;
-            const std::string point = injected_point(resp.error);
-            if (point.empty()) {
-              violations.push_back("seed " + std::to_string(seed) +
-                                   ": non-injected device error: " +
-                                   resp.error);
-            } else {
-              ++error_points[point];
-            }
-            break;
-          }
-          case pipeline::ServeStatus::kDeadlineExpired:
-            ++expired;
-            break;
-          case pipeline::ServeStatus::kShed:
-            ++shed;
-            break;
-          case pipeline::ServeStatus::kRejected:
-            ++rejected;
-            break;
-        }
-      }
-
-      // Re-convergence: a flapped device whose breaker tripped must come
-      // back once its faults are exhausted — advance past the cooldown and
-      // let the pinned request ride in as the half-open probe. Bounded
-      // attempts: the flap burns at most a few fires.
-      for (const std::string& device : flapped) {
-        bool tripped = false;
-        for (const resilience::BreakerSnapshot& b : server.device_health()) {
-          if (b.kernel.find(device) != std::string::npos && b.trips > 0) {
-            tripped = true;
-          }
-        }
-        if (!tripped) continue;  // flap absorbed without a quarantine
-        bool healed = false;
-        for (int attempt = 0; attempt < 10 && !healed; ++attempt) {
-          vclock.advance(60);
-          pipeline::ServeRequest probe;
-          probe.graph = combo.graph;
-          probe.source = source;
-          probe.pin_device = device;
-          auto future = server.submit(std::move(probe));
-          if (future.wait_for(std::chrono::seconds(60)) !=
-              std::future_status::ready) {
-            std::cerr << "chaos violation: recovery probe did not settle "
-                      << "(seed " << seed << ", device " << device << ")\n";
-            std::_Exit(1);
-          }
-          healed = future.get().status == pipeline::ServeStatus::kOk;
-        }
-        if (healed) {
-          ++recoveries;
-        } else {
-          violations.push_back("seed " + std::to_string(seed) + ": flapped " +
-                               device +
-                               " never restored by half-open probes");
-        }
-      }
-
-      server.shutdown();
-      const pipeline::ServerStats stats = server.stats();
-      for (const pipeline::TargetStats& d : stats.devices) {
-        quarantines += d.quarantines;
-      }
-    }
-
-    for (const resilience::FaultPointCounters& c : injector.counters()) {
-      fires_by_point[c.point] += c.thrown + c.delayed + c.corrupted;
-    }
-
-    // Invariant: the survivor absorbs the schedule.
-    if (schedule_ok == 0) {
-      std::string worst;
-      u64 worst_count = 0;
-      for (const auto& [point, count] : error_points) {
-        if (count > worst_count) {
-          worst = point;
-          worst_count = count;
-        }
-      }
-      violations.push_back(
-          "seed " + std::to_string(seed) +
-          ": no request succeeded — unrecoverable fault" +
-          (worst.empty() ? std::string()
-                         : " at fault point '" + worst + "'"));
-    }
-  }
-
-  obs::Json report = obs::Json::object();
-  report["mode"] = std::string("fleet");
-  report["device_fault"] = mode;
-  report["devices"] = [&] {
-    obs::Json a = obs::Json::array();
-    for (const std::string& n : device_names) a.push_back(obs::Json(n));
-    return a;
-  }();
-  report["schedules"] = static_cast<i64>(schedules);
-  report["seed_base"] = static_cast<i64>(seed_base);
-  report["apps"] = static_cast<i64>(apps.size());
-  report["patterns"] = static_cast<i64>(kAllBorderPatterns.size());
-  report["requests_per_combo"] = static_cast<i64>(requests);
-  report["shed_tiers"] = static_cast<i64>(shed_tiers);
-  report["size"] = size;
-  report["deadline_ms"] = deadline_ms;
-  obs::Json totals = obs::Json::object();
-  totals["requests"] = total_requests;
-  totals["ok"] = ok;
-  totals["errors"] = errors;
-  totals["deadline_expired"] = expired;
-  totals["shed"] = shed;
-  totals["rejected"] = rejected;
-  totals["browned_out"] = browned;
-  totals["failovers"] = failovers;
-  totals["quarantines"] = quarantines;
-  totals["probe_recoveries"] = recoveries;
-  report["totals"] = std::move(totals);
-  obs::Json fires = obs::Json::object();
-  for (const auto& [point, count] : fires_by_point) fires[point] = count;
-  report["fault_fires"] = std::move(fires);
-  obs::Json violations_json = obs::Json::array();
-  for (const std::string& v : violations) violations_json.push_back(v);
-  report["violations"] = std::move(violations_json);
-  report["ok_verdict"] = violations.empty();
-
-  const std::string json_arg = cli.get_string("json", "");
-  if (json_arg == "true") {
-    std::cout << report.dump(2) << "\n";
-  } else {
-    if (!json_arg.empty()) write_text_file(json_arg, report.dump(2));
-
-    std::string device_list;
-    for (const std::string& n : device_names) {
-      device_list += (device_list.empty() ? "" : "+") + n;
-    }
-    AsciiTable table("device chaos (" + mode + "): " +
-                     std::to_string(schedules) + " schedule(s) on " +
-                     device_list);
-    table.set_header({"metric", "value"});
-    table.add_row({"requests", std::to_string(total_requests)});
-    table.add_row({"ok", std::to_string(ok)});
-    table.add_row({"errors (injected)", std::to_string(errors)});
-    table.add_row({"deadline expired", std::to_string(expired)});
-    table.add_row({"shed", std::to_string(shed)});
-    table.add_row({"rejected", std::to_string(rejected)});
-    table.add_row({"browned out", std::to_string(browned)});
-    table.add_row({"failovers", std::to_string(failovers)});
-    table.add_row({"quarantines", std::to_string(quarantines)});
-    table.add_row({"probe recoveries", std::to_string(recoveries)});
-    for (const auto& [point, count] : fires_by_point) {
-      table.add_row({"fires: " + point, std::to_string(count)});
-    }
-    table.print(std::cout);
-    if (!json_arg.empty()) std::cout << "wrote " << json_arg << "\n";
-  }
-
-  if (!violations.empty()) {
-    constexpr std::size_t kMaxPrinted = 8;
-    for (std::size_t i = 0; i < violations.size() && i < kMaxPrinted; ++i) {
-      std::cerr << "chaos violation: " << violations[i] << "\n";
-    }
-    if (violations.size() > kMaxPrinted) {
-      std::cerr << "... and " << violations.size() - kMaxPrinted << " more\n";
-    }
-    std::cerr << "chaos FAILED: " << violations.size() << " violation(s)\n";
-    return 1;
-  }
-  std::cout << "device chaos invariants hold across " << schedules
-            << " schedule(s)\n";
-  return 0;
+  return future.get();
 }
 
+/// `chaos`: the resilience harness. Each seeded schedule installs one
+/// FaultPlan and drives the 5-app x 4-pattern matrix through a fresh
+/// PipelineServer per combo. The plan is FaultPlan::chaos over the compile /
+/// cache / executor / server / launcher fault points (plus the --force-fail
+/// rule), or with --devices FaultPlan::device_chaos, which kills, flaps or
+/// stalls all but one seed-chosen device. Asserted per schedule:
+///   - every future settles (60 s cap -> hard exit, likely deadlock);
+///   - every kOk answer is bit-identical to the CPU reference: retried,
+///     breaker-degraded, healed, failed-over and browned-out paths included;
+///   - errors only ever trace back to injected fault points;
+///   - at least one request succeeds (zero successes names the dominant
+///     fault point);
+///   - flapped devices re-converge: once their faults clear, a half-open
+///     probe restores routing to them (no device breakers, nothing to probe).
 int run_chaos(int argc, char** argv) {
   Cli cli(argc, argv);
   cli.option("schedules", "seeded fault schedules to run (default 64)")
       .option("seed", "base seed; schedule s uses seed + s (default 1)")
       .option("requests", "requests per app x pattern combination (default 2)")
       .option("size", "synthetic image extent, >= 64 (default 64)")
-      .option("variant",
-              "naive|isp|isp-warp|isp-tiled|isp+m kernel variant under chaos "
-              "(default: executor default)")
+      .option("variant", "naive|isp|isp-warp|isp-tiled|isp+m under chaos "
+                         "(default: executor default; not with --devices)")
       .option("deadline-ms", "whole-request deadline per request, 0 = none")
       .option("force-fail",
               "fault point to fail unrecoverably: compile.lower|cache.insert|"
-              "executor.stage|server.exec|launcher.launch")
-      .option("devices",
-              "comma-separated devices (gtx680|rtx2080); switches to "
-              "device-level chaos")
+              "executor.stage|server.exec|launcher.launch (not with --devices)")
+      .option("devices", "comma-separated devices (gtx680|rtx2080), >= 2: "
+                         "one target each, device-level faults")
       .option("device-fault",
               "device fault mode: kill|flap|stall|mix (default mix)")
-      .option("shed-tiers", "admission tiers for device chaos (default 3)")
+      .option("shed-tiers", "admission tiers with --devices (default 3)")
       .option("json", "report as JSON: --json to stdout, --json=PATH to file");
   if (cli.finish()) {
     std::cout << cli.help();
@@ -1530,10 +1256,10 @@ int run_chaos(int argc, char** argv) {
   const f64 deadline_ms = cli.get_double("deadline-ms", 0.0);
   const std::string force_fail = cli.get_string("force-fail", "");
   const std::string variant_arg = cli.get_string("variant", "");
-  bool chaos_use_model = false;
-  codegen::Variant chaos_variant = codegen::Variant::kIsp;
+  bool use_model = false;
+  codegen::Variant variant = codegen::Variant::kIsp;
   if (!variant_arg.empty()) {
-    chaos_variant = parse_variant_arg(variant_arg, &chaos_use_model);
+    variant = parse_variant_arg(variant_arg, &use_model);
   }
   if (schedules <= 0) throw IoError("--schedules must be positive");
   if (requests <= 0) throw IoError("--requests must be positive");
@@ -1541,18 +1267,35 @@ int run_chaos(int argc, char** argv) {
   // fallback forces naive everywhere and the ISP paths go untested.
   if (size < 64) throw IoError("--size must be >= 64");
 
+  // --devices: one target per device under device-level faults, with device
+  // breakers and the admission ladder. Without it: one target under the
+  // stage-level chaos plans.
   const std::string devices_arg = cli.get_string("devices", "");
-  if (!devices_arg.empty()) {
+  const bool device_mode = !devices_arg.empty();
+  std::vector<sim::DeviceSpec> devices;
+  std::vector<std::string> device_names;
+  std::string mode;
+  u32 shed_tiers = 1;
+  if (device_mode) {
     if (!force_fail.empty() || !variant_arg.empty()) {
       throw IoError(
           "--force-fail/--variant apply to single-server chaos only; drop "
           "--devices or those flags");
     }
-    return run_chaos_devices(cli, schedules, seed_base, requests, size,
-                           deadline_ms, parse_devices(devices_arg),
-                           cli.get_string("device-fault", "mix"),
-                           parse_shed_tiers(cli));
+    devices = parse_devices(devices_arg);
+    mode = cli.get_string("device-fault", "mix");
+    if (mode != "kill" && mode != "flap" && mode != "stall" && mode != "mix") {
+      throw IoError("unknown --device-fault '" + mode +
+                    "' (kill|flap|stall|mix)");
+    }
+    if (devices.size() < 2) {
+      throw IoError("device chaos needs --devices with >= 2 entries "
+                    "(one always survives)");
+    }
+    shed_tiers = parse_shed_tiers(cli);
+    for (const sim::DeviceSpec& d : devices) device_names.push_back(d.name);
   }
+  const std::size_t targets = std::max<std::size_t>(devices.size(), 1);
 
   // The matrix: all five evaluation apps under all four border patterns,
   // with per-combo CPU references computed fault-free up front.
@@ -1578,51 +1321,75 @@ int run_chaos(int argc, char** argv) {
     }
   }
 
-  u64 total_requests = 0;
-  u64 ok = 0, errors = 0, expired = 0, rejected = 0;
-  u64 fallbacks = 0, retries = 0, watchdog_expired = 0;
+  // One set of totals in both modes; a counter a mode cannot move reads 0.
+  u64 total_requests = 0, ok = 0, errors = 0, expired = 0, shed = 0;
+  u64 rejected = 0, fallbacks = 0, retries = 0, watchdog_expired = 0;
+  u64 browned = 0, failovers = 0, quarantines = 0, recoveries = 0;
   std::map<std::string, u64> fires_by_point;
-  std::map<std::string, u64> error_points;  ///< injected points seen in kError
   std::vector<std::string> violations;
 
   for (i32 s = 0; s < schedules; ++s) {
     const u64 seed = seed_base + static_cast<u64>(s);
-    resilience::FaultPlan plan = resilience::FaultPlan::chaos(seed);
+    resilience::FaultPlan plan =
+        device_mode ? resilience::FaultPlan::device_chaos(seed, device_names,
+                                                          mode)
+                    : resilience::FaultPlan::chaos(seed);
     if (!force_fail.empty()) {
       // Unlimited, probability-1 throw: no retry budget or breaker fallback
       // can absorb it, so the schedule must end with zero successes.
-      resilience::FaultRule rule;
-      rule.point = force_fail;
-      rule.kind = resilience::FaultKind::kThrow;
-      plan.rules.push_back(rule);
+      plan.rules.emplace_back().point = force_fail;  // kThrow by default
     }
     resilience::VirtualClock vclock;  // delays, backoff and cooldowns: free
     resilience::FaultInjector injector(plan, &vclock);
     resilience::FaultInjector::ScopedInstall install(injector);
 
+    // Devices whose launch faults clear after max_fires flap; the
+    // re-convergence check applies to them.
+    std::vector<std::string> flapped;
+    for (const resilience::FaultRule& rule : plan.rules) {
+      if (rule.point == "device.launch" &&
+          rule.kind == resilience::FaultKind::kThrow && rule.max_fires > 0) {
+        flapped.push_back(rule.match);
+      }
+    }
+
     u64 schedule_ok = 0;
+    std::map<std::string, u64> error_points;  ///< injected points in kError
     for (const Combo& combo : combos) {
+      const std::string where = "seed " + std::to_string(seed) + ", " +
+                                combo.app->name + "/" +
+                                std::string(to_string(combo.pattern));
       // Fresh cache per combo so corrupt/poison state never leaks between
       // schedules and every combo exercises the fill path.
       pipeline::KernelCache cache;
-      resilience::RetryPolicy retry;
-      retry.max_attempts = 3;
-      retry.seed = seed;
-      cache.set_retry(retry, &vclock);
-
       pipeline::ServerConfig server_cfg;
-      server_cfg.workers = 2;
-      server_cfg.queue_capacity = static_cast<std::size_t>(requests);
+      server_cfg.workers = 2 * static_cast<i32>(targets);
+      server_cfg.queue_capacity =
+          static_cast<std::size_t>(std::max(requests, 4)) * targets;
       server_cfg.executor.sim.pattern = combo.pattern;
       server_cfg.executor.sim.constant = border_constant;
-      if (!variant_arg.empty()) {
-        server_cfg.executor.sim.variant = chaos_variant;
-        server_cfg.executor.sim.use_model = chaos_use_model;
-      }
       server_cfg.executor.cache = &cache;
-      server_cfg.executor.retry = retry;
-      server_cfg.breaker.open_cooldown_ms = 50;
       server_cfg.clock = &vclock;
+      if (device_mode) {
+        // Device health is the resilience layer under test: per-kernel
+        // breakers and retries stay off so an injected device fault
+        // surfaces as a device error and exercises failover, not the kernel
+        // fallback.
+        server_cfg.devices = devices;
+        server_cfg.breakers_enabled = false;
+        server_cfg.device_breaker.failure_threshold = 2;
+        server_cfg.device_breaker.open_cooldown_ms = 50;
+        server_cfg.admission = pipeline::AdmissionConfig{.tiers = shed_tiers};
+      } else {
+        const resilience::RetryPolicy retry{.max_attempts = 3, .seed = seed};
+        cache.set_retry(retry, &vclock);
+        server_cfg.executor.retry = retry;
+        server_cfg.breaker.open_cooldown_ms = 50;
+        if (!variant_arg.empty()) {
+          server_cfg.executor.sim.variant = variant;
+          server_cfg.executor.sim.use_model = use_model;
+        }
+      }
 
       pipeline::PipelineServer server(server_cfg);
       std::vector<std::future<pipeline::ServeResponse>> futures;
@@ -1632,35 +1399,26 @@ int run_chaos(int argc, char** argv) {
       request.source = source;
       request.deadline_ms = deadline_ms;
       for (i32 i = 0; i < requests; ++i) {
+        request.tier = static_cast<u32>(i) % shed_tiers;
         futures.push_back(server.submit(request));
       }
 
       for (auto& f : futures) {
         ++total_requests;
-        // Invariant: every future settles. Simulated launches take
-        // milliseconds; a future still pending after 60s is a deadlock.
-        if (f.wait_for(std::chrono::seconds(60)) !=
-            std::future_status::ready) {
-          std::cerr << "chaos violation: request did not settle within 60s "
-                    << "(seed " << seed << ", " << combo.app->name << "/"
-                    << to_string(combo.pattern) << ") — likely deadlock\n";
-          std::_Exit(1);  // unwinding would block on the hung server
-        }
-        const pipeline::ServeResponse resp = f.get();
+        const pipeline::ServeResponse resp =
+            settle_or_exit(f, "request (" + where + ")");
         switch (resp.status) {
           case pipeline::ServeStatus::kOk: {
             ++ok;
             ++schedule_ok;
             if (resp.served_by_fallback) ++fallbacks;
-            // Invariant: every kOk answer is bit-identical to the CPU
-            // reference — retried, breaker-degraded and healed paths
-            // included.
+            if (resp.browned_out) ++browned;
+            if (resp.dispatches > 1) ++failovers;
             const CompareResult diff = compare(resp.output, combo.reference);
             if (diff.max_abs != 0.0) {
               violations.push_back(
-                  "seed " + std::to_string(seed) + ": " + combo.app->name +
-                  "/" + std::string(to_string(combo.pattern)) +
-                  " kOk output diverges from reference (max abs " +
+                  where + ": kOk on " + resp.device +
+                  " diverges from reference (max abs " +
                   std::to_string(diff.max_abs) + ")");
             }
             break;
@@ -1669,8 +1427,8 @@ int run_chaos(int argc, char** argv) {
             ++errors;
             const std::string point = injected_point(resp.error);
             if (point.empty()) {
-              violations.push_back("seed " + std::to_string(seed) +
-                                   ": non-injected error: " + resp.error);
+              violations.push_back(where + ": non-injected error: " +
+                                   resp.error);
             } else {
               ++error_points[point];
             }
@@ -1679,14 +1437,49 @@ int run_chaos(int argc, char** argv) {
           case pipeline::ServeStatus::kDeadlineExpired:
             ++expired;
             break;
+          case pipeline::ServeStatus::kShed:
+            ++shed;
+            break;
           case pipeline::ServeStatus::kRejected:
-          case pipeline::ServeStatus::kShed:  // no admission ladder here
             ++rejected;
             break;
         }
       }
 
+      // Re-convergence: a flapped device whose breaker tripped must come
+      // back once its faults are exhausted. Advance past the cooldown and
+      // let a pinned request ride in as the half-open probe; the flap burns
+      // at most a few fires, so ten attempts bound it.
+      for (const std::string& device : flapped) {
+        bool tripped = false;
+        for (const resilience::BreakerSnapshot& b : server.device_health()) {
+          tripped |= b.kernel.find(device) != std::string::npos && b.trips > 0;
+        }
+        if (!tripped) continue;  // flap absorbed without a quarantine
+        bool healed = false;
+        for (int attempt = 0; attempt < 10 && !healed; ++attempt) {
+          vclock.advance(60);
+          pipeline::ServeRequest probe;
+          probe.graph = combo.graph;
+          probe.source = source;
+          probe.pin_device = device;
+          auto future = server.submit(std::move(probe));
+          healed = settle_or_exit(future, "recovery probe (" + where +
+                                              ", device " + device + ")")
+                       .status == pipeline::ServeStatus::kOk;
+        }
+        if (healed) {
+          ++recoveries;
+        } else {
+          violations.push_back(where + ": flapped " + device +
+                               " never restored by half-open probes");
+        }
+      }
+
       server.shutdown();
+      for (const pipeline::TargetStats& d : server.stats().devices) {
+        quarantines += d.quarantines;
+      }
       const resilience::HealthState health = server.health();
       retries += health.retries;
       watchdog_expired += health.watchdog_expired;
@@ -1697,26 +1490,31 @@ int run_chaos(int argc, char** argv) {
     }
 
     // Invariant: the stack absorbs the schedule. Chaos plans fire hard, but
-    // retries, breaker fallbacks and cache healing must keep at least one
-    // request succeeding; zero successes means an unrecoverable fault.
+    // retries, breaker fallbacks, cache healing and failover must keep at
+    // least one request succeeding; zero successes means an unrecoverable
+    // fault.
     if (schedule_ok == 0) {
-      std::string worst;
-      u64 worst_count = 0;
-      for (const auto& [point, count] : error_points) {
-        if (count > worst_count) {
-          worst = point;
-          worst_count = count;
-        }
-      }
+      const auto worst = std::max_element(
+          error_points.begin(), error_points.end(),
+          [](const auto& a, const auto& b) { return a.second < b.second; });
       violations.push_back(
           "seed " + std::to_string(seed) +
           ": no request succeeded — unrecoverable fault" +
-          (worst.empty() ? std::string()
-                         : " at fault point '" + worst + "'"));
+          (worst == error_points.end()
+               ? std::string()
+               : " at fault point '" + worst->first + "'"));
     }
   }
 
   obs::Json report = obs::Json::object();
+  report["mode"] = std::string(device_mode ? "fleet" : "single");
+  if (device_mode) {
+    report["device_fault"] = mode;
+    obs::Json names = obs::Json::array();
+    for (const std::string& n : device_names) names.push_back(obs::Json(n));
+    report["devices"] = std::move(names);
+    report["shed_tiers"] = static_cast<i64>(shed_tiers);
+  }
   report["schedules"] = static_cast<i64>(schedules);
   report["seed_base"] = static_cast<i64>(seed_base);
   report["apps"] = static_cast<i64>(apps.size());
@@ -1726,16 +1524,17 @@ int run_chaos(int argc, char** argv) {
   report["deadline_ms"] = deadline_ms;
   if (!force_fail.empty()) report["force_fail"] = force_fail;
   if (!variant_arg.empty()) report["variant"] = variant_arg;
-  obs::Json totals = obs::Json::object();
-  totals["requests"] = total_requests;
-  totals["ok"] = ok;
-  totals["errors"] = errors;
-  totals["deadline_expired"] = expired;
-  totals["rejected"] = rejected;
-  totals["fallbacks_served"] = fallbacks;
-  totals["retries"] = retries;
-  totals["watchdog_expired"] = watchdog_expired;
-  report["totals"] = std::move(totals);
+  const std::vector<std::pair<std::string, u64>> totals = {
+      {"requests", total_requests}, {"ok", ok},
+      {"errors", errors},           {"deadline_expired", expired},
+      {"shed", shed},               {"rejected", rejected},
+      {"fallbacks_served", fallbacks}, {"retries", retries},
+      {"watchdog_expired", watchdog_expired}, {"browned_out", browned},
+      {"failovers", failovers},     {"quarantines", quarantines},
+      {"probe_recoveries", recoveries}};
+  obs::Json totals_json = obs::Json::object();
+  for (const auto& [name, value] : totals) totals_json[name] = value;
+  report["totals"] = std::move(totals_json);
   obs::Json fires = obs::Json::object();
   for (const auto& [point, count] : fires_by_point) fires[point] = count;
   report["fault_fires"] = std::move(fires);
@@ -1749,20 +1548,16 @@ int run_chaos(int argc, char** argv) {
     std::cout << report.dump(2) << "\n";  // bare --json: report to stdout
   } else {
     if (!json_arg.empty()) write_text_file(json_arg, report.dump(2));
-
-    AsciiTable table("chaos: " + std::to_string(schedules) + " schedule(s) x " +
-                     std::to_string(apps.size()) + " apps x " +
-                     std::to_string(kAllBorderPatterns.size()) +
-                     " patterns x " + std::to_string(requests) + " request(s)");
+    AsciiTable table(
+        "chaos: " + std::to_string(schedules) + " schedule(s) x " +
+        std::to_string(apps.size()) + " apps x " +
+        std::to_string(kAllBorderPatterns.size()) + " patterns x " +
+        std::to_string(requests) + " request(s)" +
+        (device_mode ? " on " + devices_arg + " (" + mode + ")" : ""));
     table.set_header({"metric", "value"});
-    table.add_row({"requests", std::to_string(total_requests)});
-    table.add_row({"ok", std::to_string(ok)});
-    table.add_row({"errors (injected)", std::to_string(errors)});
-    table.add_row({"deadline expired", std::to_string(expired)});
-    table.add_row({"rejected", std::to_string(rejected)});
-    table.add_row({"fallbacks served", std::to_string(fallbacks)});
-    table.add_row({"stage retries", std::to_string(retries)});
-    table.add_row({"watchdog expired", std::to_string(watchdog_expired)});
+    for (const auto& [name, value] : totals) {
+      table.add_row({name, std::to_string(value)});
+    }
     for (const auto& [point, count] : fires_by_point) {
       table.add_row({"fires: " + point, std::to_string(count)});
     }
@@ -1771,18 +1566,11 @@ int run_chaos(int argc, char** argv) {
   }
 
   if (!violations.empty()) {
-    constexpr std::size_t kMaxPrinted = 8;
-    for (std::size_t i = 0; i < violations.size() && i < kMaxPrinted; ++i) {
-      std::cerr << "chaos violation: " << violations[i] << "\n";
-    }
-    if (violations.size() > kMaxPrinted) {
-      std::cerr << "... and " << violations.size() - kMaxPrinted << " more\n";
-    }
-    std::cerr << "chaos FAILED: " << violations.size() << " violation(s)\n";
-    return 1;
+    return print_violations(violations, "chaos", "chaos FAILED", 8);
   }
-  std::cout << "chaos invariants hold across " << schedules
-            << " schedule(s)\n";
+  // Bare --json keeps stdout one JSON document: the verdict goes to stderr.
+  (json_arg == "true" ? std::cerr : std::cout)
+      << "chaos invariants hold across " << schedules << " schedule(s)\n";
   return 0;
 }
 
